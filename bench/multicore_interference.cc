@@ -94,7 +94,7 @@ main(int argc, char **argv)
     json.beginObject();
     json.field("bench", "multicore_interference");
     json.field("instructions_per_core", insts);
-    json.field("prefetcher", schemeName(config));
+    json.field("prefetcher", config.scheme);
     json.field("l2_kb", config.mem.l2.sizeBytes / 1024);
     json.key("mix");
     json.beginArray();

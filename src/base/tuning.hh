@@ -30,7 +30,7 @@ struct Tuning
     bool batchDecode = true;
 
     /** Fast-forward idle cycles to the next scheduled event in the
-     *  single-core and lockstep multi-core drivers. */
+     *  out-of-order cycle loop (runCores()). */
     bool skipAhead = true;
 
     /** The singleton, initialised from the environment on first

@@ -590,25 +590,48 @@ OooCore::run(const Trace &trace, std::uint64_t max_insts,
 {
     begin(trace, max_insts, on_commit, on_access, warmup_insts,
           on_warmup);
+    return runCores({this}, mem_).front();
+}
 
+std::vector<CoreStats>
+runCores(const std::vector<OooCore *> &cores, Hierarchy &mem,
+         const std::function<void(unsigned, Cycle)> &on_done)
+{
     // One scope for the whole replay loop: core-side work (fetch,
     // rename, scheduling, commit) lands in Decode; the memory-system
     // phases nest inside and claim their own exclusive time.
     PROF_SCOPE(prof::Phase::Decode);
 
+    constexpr Cycle Never = ~Cycle(0);
+    const unsigned n = static_cast<unsigned>(cores.size());
     const bool skip_ahead = Tuning::get().skipAhead;
+    const Cycle cycle_limit = cores[0]->cycleLimit();
+    // The cycle each core finished at; Never while it runs.
+    std::vector<Cycle> end(n, Never);
+    unsigned running = n;
     Cycle now = 0;
     while (true) {
-        mem_.tick(now);
-        const std::uint64_t mshr_stalls0 = mem_.stats().mshrStalls;
-        const bool worked = step(now);
-        if (done_)
+        mem.tick(now);
+        const std::uint64_t mshr_stalls0 = mem.stats().mshrStalls;
+        bool worked = false;
+        for (unsigned c = 0; c < n; ++c) {
+            if (end[c] != Never)
+                continue;
+            worked = cores[c]->step(now) || worked;
+            if (cores[c]->done()) {
+                end[c] = now;
+                --running;
+                if (on_done)
+                    on_done(c, now);
+            }
+        }
+        if (running == 0)
             break;
 
         // ---- Idle fast-forward ----
         // When nothing moved this cycle, the earliest state change is
         // either an execution completing, a memory fill draining, or
-        // the post-mispredict fetch restart. Jump there instead of
+        // a post-mispredict fetch restart. Jump there instead of
         // spinning (pure simulation speed; architecturally invisible
         // because no pipeline stage had work to do in between).
         // (A failed memory retry does not inhibit the skip: the retry
@@ -616,32 +639,37 @@ OooCore::run(const Trace &trace, std::uint64_t max_insts,
         // includes exactly those fills. Each skipped cycle would have
         // repeated this cycle's failed retries verbatim, so their
         // stall counts are replayed below.)
-        if (skip_ahead && !worked && !mem_.prefetchWorkPending()) {
-            Cycle next_event = mem_.nextEventCycle();
-            const Cycle local = nextLocalEvent(now);
-            if (local < next_event)
-                next_event = local;
+        if (skip_ahead && !worked && !mem.prefetchWorkPending()) {
+            Cycle next_event = mem.nextEventCycle();
+            for (unsigned c = 0; c < n; ++c)
+                if (end[c] == Never)
+                    next_event = std::min(next_event,
+                                          cores[c]->nextLocalEvent(now));
             if (next_event != Never && next_event > now + 1) {
                 const Cycle skipped = next_event - now - 1;
-                addSkippedCycles(skipped);
-                mem_.addSkippedMshrStalls(
-                    (mem_.stats().mshrStalls - mshr_stalls0) *
-                    skipped);
+                for (unsigned c = 0; c < n; ++c)
+                    if (end[c] == Never)
+                        cores[c]->addSkippedCycles(skipped);
+                mem.addSkippedMshrStalls(
+                    (mem.stats().mshrStalls - mshr_stalls0) * skipped);
                 now += skipped;
             }
         }
 
         ++now;
-        if (now > cycleLimit_) {
-            warn("core: cycle limit reached (%llu cycles, %llu insts); "
-                 "possible livelock",
-                 static_cast<unsigned long long>(now),
-                 static_cast<unsigned long long>(stats_.instructions));
+        if (now > cycle_limit) {
+            warn("core: cycle limit reached (%llu cycles); possible "
+                 "livelock",
+                 static_cast<unsigned long long>(now));
             break;
         }
     }
 
-    return finish(now);
+    std::vector<CoreStats> stats;
+    stats.reserve(n);
+    for (unsigned c = 0; c < n; ++c)
+        stats.push_back(cores[c]->finish(end[c] != Never ? end[c] : now));
+    return stats;
 }
 
 } // namespace cbws

@@ -19,12 +19,10 @@
  * program order, exactly as the paper requires ("the prefetcher
  * obtains the address sequence from the in-order commit stage").
  *
- * The core exposes two driving modes over the same pipeline:
- * run() owns the cycle loop for a single core (the historic API),
- * while begin()/step()/finish() let an external lockstep driver
- * interleave several cores cycle by cycle over a shared hierarchy
- * (sim/simulator.cc's multi-core mode). run() is implemented on top
- * of the step API, so both modes execute identical pipeline code.
+ * There is one cycle loop, runCores(), which steps one or more cores
+ * in lockstep over a shared hierarchy through the begin()/step()/
+ * finish() API. run() is begin() + runCores() over this core alone;
+ * sim/simulator.cc drives every core count through runCores().
  *
  * Replay-speed machinery (all architecturally invisible; see
  * PERFORMANCE.md):
@@ -172,12 +170,10 @@ class OooCore
 
     /**
      * @name Steppable per-cycle API
-     * A lockstep multi-core driver calls begin() once, then step()
-     * every cycle until done(), then finish(). The driver owns the
-     * global clock and the hierarchy tick; step() performs one
-     * cycle's worth of commit/issue/dispatch/fetch for this core
-     * only. run() is this sequence plus the single-core idle
-     * fast-forward.
+     * runCores() calls begin() once per core, then step() every
+     * cycle until done(), then finish(). The loop owns the global
+     * clock and the hierarchy tick; step() performs one cycle's worth
+     * of commit/issue/dispatch/fetch for this core only.
      */
     ///@{
 
@@ -426,6 +422,23 @@ class OooCore
     std::uint64_t cycleLsqFullStalls_ = 0;
     Cycle cycleLimit_ = 0;
 };
+
+/**
+ * The out-of-order cycle loop, for one core or several sharing @p mem.
+ *
+ * Every core must be armed with begin(). Each cycle ticks the
+ * hierarchy, then steps the unfinished cores in index order, so
+ * shared-L2 bank arbitration and prefetch-queue interleaving are
+ * deterministic. Idle cycles fast-forward (CBWS_SKIP_AHEAD) only when
+ * no core made progress and no prefetch work is pending. The loop
+ * ends when every core is done, or at the first core's cycle limit.
+ *
+ * @param on_done called once per core, with the cycle it finished.
+ * @return each core's finish() statistics, in core order.
+ */
+std::vector<CoreStats>
+runCores(const std::vector<OooCore *> &cores, Hierarchy &mem,
+         const std::function<void(unsigned, Cycle)> &on_done = nullptr);
 
 } // namespace cbws
 

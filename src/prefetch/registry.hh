@@ -12,9 +12,9 @@
  * Lookup is case-insensitive, so CLI surfaces accept "cbws+sms" for
  * "CBWS+SMS". Factories receive a ParamSet — a type-erased bag of
  * the per-scheme parameter structs — and fall back to each struct's
- * Table II defaults when a slot is absent. The PrefetcherKind enum
- * in sim/config.hh survives only as a thin compat shim that maps to
- * registry names.
+ * Table II defaults when a slot is absent. SystemConfig::scheme
+ * (sim/config.hh) carries the registry name; makePrefetcher() builds
+ * it.
  *
  * Static-archive caveat: a registration living in an otherwise
  * unreferenced object file is dropped by the linker. Each

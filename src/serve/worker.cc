@@ -176,18 +176,13 @@ runWorkerShard(const JobSpec &spec, const std::string &job_dir,
 
         SystemConfig cell_config = config;
         cell_config.scheme = scheme;
-        SimResult res;
-        if (cell_config.mem.numCores > 1) {
-            const std::vector<const Trace *> core_traces(
-                cell_config.mem.numCores, &traces[w]);
-            const std::vector<std::string> core_names(
-                cell_config.mem.numCores, workload);
-            res = simulateMulti(core_traces, core_names, cell_config,
-                                spec.insts, SimProbes(), warmup);
-        } else {
-            res = simulate(traces[w], cell_config, spec.insts,
-                           SimProbes(), warmup);
-        }
+        const std::vector<const Trace *> core_traces(
+            cell_config.mem.numCores, &traces[w]);
+        const std::vector<std::string> core_names(
+            cell_config.mem.numCores, workload);
+        SimResult res = simulateMulti(core_traces, core_names,
+                                      cell_config, spec.insts,
+                                      SimProbes(), warmup);
         res.workload = workload;
 
         Result<void> appended = checkpoint.append(res);

@@ -23,65 +23,19 @@ CBWS_FORCE_LINK_PREFETCHER(multistride)
 CBWS_FORCE_LINK_PREFETCHER(pangloss)
 CBWS_FORCE_LINK_PREFETCHER(pythia)
 
-const char *
-toString(PrefetcherKind kind)
-{
-    switch (kind) {
-      case PrefetcherKind::None:
-        return "No-Prefetch";
-      case PrefetcherKind::Stride:
-        return "Stride";
-      case PrefetcherKind::GhbPcDc:
-        return "GHB-PC/DC";
-      case PrefetcherKind::GhbGDc:
-        return "GHB-G/DC";
-      case PrefetcherKind::Sms:
-        return "SMS";
-      case PrefetcherKind::Cbws:
-        return "CBWS";
-      case PrefetcherKind::CbwsSms:
-        return "CBWS+SMS";
-      case PrefetcherKind::Ampm:
-        return "AMPM";
-      case PrefetcherKind::CbwsAmpm:
-        return "CBWS+AMPM";
-    }
-    return "?";
-}
-
-std::vector<PrefetcherKind>
-allPrefetcherKinds()
-{
-    return {PrefetcherKind::None,   PrefetcherKind::Stride,
-            PrefetcherKind::GhbPcDc, PrefetcherKind::GhbGDc,
-            PrefetcherKind::Sms,    PrefetcherKind::Cbws,
-            PrefetcherKind::CbwsSms};
-}
-
-std::vector<PrefetcherKind>
-extendedPrefetcherKinds()
-{
-    auto kinds = allPrefetcherKinds();
-    kinds.push_back(PrefetcherKind::Ampm);
-    kinds.push_back(PrefetcherKind::CbwsAmpm);
-    return kinds;
-}
-
 std::vector<std::string>
 allSchemeNames()
 {
-    std::vector<std::string> names;
-    for (PrefetcherKind kind : allPrefetcherKinds())
-        names.push_back(toString(kind));
-    return names;
+    return {"No-Prefetch", "Stride", "GHB-PC/DC", "GHB-G/DC",
+            "SMS",         "CBWS",   "CBWS+SMS"};
 }
 
 std::vector<std::string>
 extendedSchemeNames()
 {
-    std::vector<std::string> names;
-    for (PrefetcherKind kind : extendedPrefetcherKinds())
-        names.push_back(toString(kind));
+    std::vector<std::string> names = allSchemeNames();
+    names.push_back("AMPM");
+    names.push_back("CBWS+AMPM");
     return names;
 }
 
@@ -89,13 +43,6 @@ std::vector<std::string>
 zooSchemeNames()
 {
     return prefetcherRegistry().names();
-}
-
-std::string
-schemeName(const SystemConfig &config)
-{
-    return config.scheme.empty() ? toString(config.prefetcher)
-                                 : config.scheme;
 }
 
 ParamSet
@@ -116,7 +63,7 @@ paramSetFrom(const SystemConfig &config)
 std::unique_ptr<Prefetcher>
 makePrefetcher(const SystemConfig &config)
 {
-    const std::string name = schemeName(config);
+    const std::string &name = config.scheme;
     ParamSet params = paramSetFrom(config);
     if (!config.pfOpts.empty()) {
         // Keys this scheme does not accept are skipped: multi-scheme

@@ -25,42 +25,6 @@
 namespace cbws
 {
 
-/**
- * The prefetching schemes evaluated by the paper.
- *
- * @deprecated Compat shim over the string-keyed PrefetcherRegistry
- * (PR 3): the enum cannot name registry-only schemes (Pangloss,
- * Pythia, Multistride, ...). New call sites should select schemes by
- * registry name — SystemConfig::scheme, runMatrix with a vector of
- * names — and use allSchemeNames()/extendedSchemeNames() instead of
- * the enum lists. The enum survives only for existing users of
- * SystemConfig::prefetcher and is not extended for new schemes.
- */
-enum class PrefetcherKind
-{
-    None,
-    Stride,
-    GhbPcDc,
-    GhbGDc,
-    Sms,
-    Cbws,
-    CbwsSms,
-    // Extensions beyond the paper's evaluated set:
-    Ampm,     ///< related-work baseline (Ishii et al.)
-    CbwsAmpm, ///< CBWS as a generic add-on bolted onto AMPM
-};
-
-/** Name as used in the paper's figures. */
-const char *toString(PrefetcherKind kind);
-
-/** All seven evaluated configurations, in Fig. 12 legend order.
- *  @deprecated Use allSchemeNames(). */
-std::vector<PrefetcherKind> allPrefetcherKinds();
-
-/** The paper's seven plus the extension schemes (AMPM, CBWS+AMPM).
- *  @deprecated Use extendedSchemeNames(). */
-std::vector<PrefetcherKind> extendedPrefetcherKinds();
-
 /** Registry names of the paper's seven evaluated configurations, in
  *  Fig. 12 legend order. */
 std::vector<std::string> allSchemeNames();
@@ -87,13 +51,9 @@ struct SystemConfig
     CoreParams core;
     HierarchyParams mem;
 
-    /**
-     * Prefetching scheme as a registry name ("CBWS+SMS", "pangloss",
-     * case-insensitive). When non-empty this wins over the deprecated
-     * `prefetcher` enum below, and is the only way to select schemes
-     * the enum does not know about.
-     */
-    std::string scheme;
+    /** Prefetching scheme as a registry name ("CBWS+SMS", "pangloss",
+     *  case-insensitive). */
+    std::string scheme = "No-Prefetch";
 
     /**
      * `key=value` parameter overrides applied through the scheme's
@@ -103,9 +63,6 @@ struct SystemConfig
      * selection up front via PrefetcherRegistry::validateOptions().
      */
     std::vector<std::string> pfOpts;
-
-    /** @deprecated Enum-based selection; prefer `scheme`. */
-    PrefetcherKind prefetcher = PrefetcherKind::None;
 
     StrideParams stride;
     GhbParams ghb;
@@ -117,19 +74,13 @@ struct SystemConfig
     PythiaParams pythia;
 };
 
-/** The scheme name a config selects (`scheme`, or the enum's name). */
-std::string schemeName(const SystemConfig &config);
-
 /** Bundle the config's per-scheme parameter structs for the registry. */
 ParamSet paramSetFrom(const SystemConfig &config);
 
 /**
- * Instantiate the configured prefetcher.
- *
- * Compat shim over the string-keyed PrefetcherRegistry: resolves the
- * enum to its canonical scheme name and delegates to
- * prefetcherRegistry().create(). Prefer the registry directly for new
- * call sites.
+ * Instantiate the configured prefetcher: `scheme` through
+ * prefetcherRegistry(), with the config's parameter structs and
+ * `pfOpts` applied.
  */
 std::unique_ptr<Prefetcher> makePrefetcher(const SystemConfig &config);
 

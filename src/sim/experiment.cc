@@ -136,26 +136,6 @@ ExperimentMatrix::result(std::size_t row,
     return rows.at(row).byPrefetcher.at(column(scheme));
 }
 
-const SimResult &
-ExperimentMatrix::result(std::size_t row, PrefetcherKind kind) const
-{
-    return result(row, std::string(toString(kind)));
-}
-
-ExperimentMatrix
-runMatrix(const std::vector<WorkloadPtr> &workloads,
-          const std::vector<PrefetcherKind> &kinds,
-          const SystemConfig &base_config, std::uint64_t max_insts,
-          std::uint64_t seed, const MatrixOptions &options)
-{
-    std::vector<std::string> schemes;
-    schemes.reserve(kinds.size());
-    for (PrefetcherKind kind : kinds)
-        schemes.emplace_back(toString(kind));
-    return runMatrix(workloads, schemes, base_config, max_insts,
-                     seed, options);
-}
-
 ExperimentMatrix
 runMatrix(const std::vector<WorkloadPtr> &workloads,
           const std::vector<std::string> &scheme_args,
@@ -328,20 +308,14 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
         }
         SystemConfig config = base_config;
         config.scheme = schemes[k];
-        SimResult res;
-        if (config.mem.numCores > 1) {
-            // Rate mode: every core replays its own copy of the same
-            // workload trace, contending for the shared L2/DRAM.
-            const std::vector<const Trace *> core_traces(
-                config.mem.numCores, &traces[w]);
-            const std::vector<std::string> core_names(
-                config.mem.numCores, matrix.rows[w].workload);
-            res = simulateMulti(core_traces, core_names, config,
-                                max_insts, SimProbes(), warmup);
-        } else {
-            res = simulate(traces[w], config, max_insts, SimProbes(),
-                           warmup);
-        }
+        // Every core replays its own copy of the workload's trace;
+        // above one core this is rate mode over the shared L2/DRAM.
+        const std::vector<const Trace *> core_traces(
+            config.mem.numCores, &traces[w]);
+        const std::vector<std::string> core_names(
+            config.mem.numCores, matrix.rows[w].workload);
+        SimResult res = simulateMulti(core_traces, core_names, config,
+                                      max_insts, SimProbes(), warmup);
         res.workload = matrix.rows[w].workload;
         if (checkpoint.isOpen()) {
             Result<void> appended = checkpoint.append(res);

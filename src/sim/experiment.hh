@@ -54,10 +54,6 @@ struct ExperimentMatrix
     const SimResult &
     result(std::size_t row, const std::string &scheme) const;
 
-    /** @deprecated Enum shim; prefer the registry-name overload. */
-    const SimResult &
-    result(std::size_t row, PrefetcherKind kind) const;
-
     /** Arithmetic mean of @p metric over @p rows (MI subset or all). */
     template <typename Fn>
     double
@@ -166,14 +162,6 @@ void clearMatrixInterrupt();
 ExperimentMatrix
 runMatrix(const std::vector<WorkloadPtr> &workloads,
           const std::vector<std::string> &schemes,
-          const SystemConfig &base_config, std::uint64_t max_insts,
-          std::uint64_t seed = 42,
-          const MatrixOptions &options = MatrixOptions());
-
-/** @deprecated Enum shim over the registry-name overload above. */
-ExperimentMatrix
-runMatrix(const std::vector<WorkloadPtr> &workloads,
-          const std::vector<PrefetcherKind> &kinds,
           const SystemConfig &base_config, std::uint64_t max_insts,
           std::uint64_t seed = 42,
           const MatrixOptions &options = MatrixOptions());

@@ -4,8 +4,8 @@
 
 #include "base/logging.hh"
 #include "base/profiler.hh"
-#include "base/tuning.hh"
 #include "cpu/inorder.hh"
+#include "prefetch/addon.hh"
 #include "prefetch/composite.hh"
 #include "sim/snapshot.hh"
 
@@ -49,7 +49,29 @@ cbwsComponent(Prefetcher *prefetcher)
         return p;
     if (auto *c = dynamic_cast<CbwsSmsPrefetcher *>(prefetcher))
         return &c->cbws();
+    if (auto *a = dynamic_cast<CbwsAddOnPrefetcher *>(prefetcher))
+        return &a->cbws();
     return nullptr;
+}
+
+/** Snapshot gauges over @p cbws's history table; none without CBWS. */
+SnapshotWriter::CbwsGauges
+cbwsGauges(const CbwsPrefetcher *cbws)
+{
+    SnapshotWriter::CbwsGauges gauges;
+    if (!cbws)
+        return gauges;
+    gauges.occupancy = [cbws] {
+        return static_cast<std::uint64_t>(cbws->table().occupancy());
+    };
+    gauges.capacity = [cbws] {
+        return static_cast<std::uint64_t>(cbws->table().capacity());
+    };
+    gauges.tableHits = [cbws] { return cbws->schemeStats().tableHits; };
+    gauges.tableMisses = [cbws] {
+        return cbws->schemeStats().tableMisses;
+    };
+    return gauges;
 }
 
 /**
@@ -69,6 +91,29 @@ commitMaskFor(bool has_snapshot)
            OooCore::classBit(InstClass::BlockEnd);
 }
 
+PrefetchContext
+contextOf(const TraceRecord &rec, const AccessOutcome &out)
+{
+    PrefetchContext ctx;
+    ctx.pc = rec.pc;
+    ctx.addr = rec.effAddr;
+    ctx.line = rec.line();
+    ctx.isWrite = rec.cls == InstClass::Store;
+    ctx.l1Hit = out.l1Hit;
+    ctx.l2Miss = out.cls == DemandClass::Shorter ||
+                 out.cls == DemandClass::NonTimely ||
+                 out.cls == DemandClass::Missing;
+    return ctx;
+}
+
+/** The hooks that train one core's prefetcher. */
+struct CoreHooks
+{
+    OooCore::CommitHook commit;
+    OooCore::AccessHook access;
+    std::function<void(Cycle)> warmup;
+};
+
 } // anonymous namespace
 
 SimResult
@@ -76,125 +121,8 @@ simulate(const Trace &trace, const SystemConfig &config,
          std::uint64_t max_insts, const SimProbes &probes,
          std::uint64_t warmup_insts)
 {
-    Hierarchy mem(config.mem);
-    auto prefetcher = makePrefetcher(config);
-    HierarchySink sink(mem);
-
-    CbwsPrefetcher *cbws_pf = cbwsComponent(prefetcher.get());
-
-    if (probes.differentials && cbws_pf)
-        cbws_pf->setDifferentialProbe(probes.differentials);
-
-    if (probes.trace)
-        mem.setTraceSink(probes.trace);
-
-    if (probes.snapshot) {
-        probes.snapshot->begin(prefetcher->name(), mem);
-        if (cbws_pf) {
-            SnapshotWriter::CbwsGauges gauges;
-            gauges.occupancy = [cbws_pf] {
-                return static_cast<std::uint64_t>(
-                    cbws_pf->table().occupancy());
-            };
-            gauges.capacity = [cbws_pf] {
-                return static_cast<std::uint64_t>(
-                    cbws_pf->table().capacity());
-            };
-            gauges.tableHits = [cbws_pf] {
-                return cbws_pf->schemeStats().tableHits;
-            };
-            gauges.tableMisses = [cbws_pf] {
-                return cbws_pf->schemeStats().tableMisses;
-            };
-            probes.snapshot->setCbwsGauges(std::move(gauges));
-        } else {
-            probes.snapshot->setCbwsGauges(SnapshotWriter::CbwsGauges());
-        }
-    }
-
-    OooCore core(config.core, mem);
-    auto make_context = [](const TraceRecord &rec,
-                           const AccessOutcome &out) {
-        PrefetchContext ctx;
-        ctx.pc = rec.pc;
-        ctx.addr = rec.effAddr;
-        ctx.line = rec.line();
-        ctx.isWrite = rec.cls == InstClass::Store;
-        ctx.l1Hit = out.l1Hit;
-        ctx.l2Miss = out.cls == DemandClass::Shorter ||
-                     out.cls == DemandClass::NonTimely ||
-                     out.cls == DemandClass::Missing;
-        return ctx;
-    };
-    auto on_commit = [&](const TraceRecord &rec,
-                         const AccessOutcome &out, Cycle now) {
-        if (probes.snapshot)
-            probes.snapshot->onCommit(now);
-        // The scope sits inside the dispatch so commits that never
-        // reach the prefetcher (plain ALU/branch retires, i.e. most
-        // of the stream) pay nothing while profiling.
-        switch (rec.cls) {
-          case InstClass::Load:
-          case InstClass::Store: {
-            PROF_SCOPE_SAMPLED(prof::Phase::PfObserve, 15);
-            prefetcher->observe(
-                PrefetchEvent{PfStage::Commit, make_context(rec, out)},
-                sink);
-            break;
-          }
-          case InstClass::BlockBegin: {
-            PROF_SCOPE(prof::Phase::PfObserve);
-            prefetcher->blockBegin(rec.blockId, sink);
-            break;
-          }
-          case InstClass::BlockEnd: {
-            PROF_SCOPE(prof::Phase::PfObserve);
-            prefetcher->blockEnd(rec.blockId, sink);
-            break;
-          }
-          default:
-            break;
-        }
-    };
-    auto on_access = [&](const TraceRecord &rec,
-                         const AccessOutcome &out, Cycle now) {
-        (void)now;
-        PROF_SCOPE_SAMPLED(prof::Phase::PfObserve, 15);
-        prefetcher->observe(
-            PrefetchEvent{PfStage::Access, make_context(rec, out)},
-            sink);
-    };
-
-    auto on_warmup = [&mem, &probes](Cycle now) {
-        mem.resetStats();
-        if (probes.snapshot)
-            probes.snapshot->onWarmupBoundary(now);
-    };
-
-    SimResult result;
-    result.prefetcher = prefetcher->name();
-    result.dramBackend = mem.dram().name();
-    if (config.coreModel == CoreModel::InOrder) {
-        InOrderCore inorder(config.core, mem);
-        inorder.setTraceSink(probes.trace);
-        result.core =
-            inorder.run(trace, max_insts, on_commit, on_access,
-                        warmup_insts, on_warmup);
-    } else {
-        core.setTraceSink(probes.trace);
-        core.setCommitHookMask(commitMaskFor(probes.snapshot != nullptr));
-        result.core =
-            core.run(trace, max_insts, on_commit, on_access,
-                     warmup_insts, on_warmup);
-    }
-    mem.finalize();
-    result.mem = mem.stats();
-    result.prefetcherStorageBits = prefetcher->storageBits();
-    if (probes.schemeMetrics)
-        prefetcher->exportMetrics(*probes.schemeMetrics, "pf.scheme");
-    if (probes.snapshot)
-        probes.snapshot->finalize(result);
-    return result;
+    return simulateMulti({&trace}, {std::string()}, config, max_insts,
+                         probes, warmup_insts);
 }
 
 SimResult
@@ -207,25 +135,14 @@ simulateMulti(const std::vector<const Trace *> &traces,
     fatal_if(workload_names.size() != traces.size(),
              "simulateMulti: %zu traces but %zu workload names",
              traces.size(), workload_names.size());
-    fatal_if(config.coreModel == CoreModel::InOrder,
+    const unsigned n = static_cast<unsigned>(traces.size());
+    fatal_if(n > 1 && config.coreModel == CoreModel::InOrder,
              "simulateMulti: multi-core requires the out-of-order "
              "core model");
 
-    const unsigned n = static_cast<unsigned>(traces.size());
-    if (n == 1) {
-        // One core: take the historic single-core path so the result
-        // is bit-identical to pre-multicore builds.
-        SystemConfig one = config;
-        one.mem.numCores = 1;
-        SimResult result = simulate(*traces[0], one, max_insts, probes,
-                                    warmup_insts);
-        result.workload = workload_names[0];
-        return result;
-    }
-
-    SystemConfig cfg = config;
-    cfg.mem.numCores = n;
-    Hierarchy mem(cfg.mem);
+    HierarchyParams mem_params = config.mem;
+    mem_params.numCores = n;
+    Hierarchy mem(mem_params);
     if (probes.trace)
         mem.setTraceSink(probes.trace);
 
@@ -233,7 +150,7 @@ simulateMulti(const std::vector<const Trace *> &traces,
     std::vector<std::unique_ptr<Prefetcher>> prefetchers;
     std::vector<std::unique_ptr<HierarchySink>> sinks;
     for (unsigned c = 0; c < n; ++c) {
-        prefetchers.push_back(makePrefetcher(cfg));
+        prefetchers.push_back(makePrefetcher(config));
         sinks.push_back(std::make_unique<HierarchySink>(mem, c));
     }
 
@@ -245,42 +162,8 @@ simulateMulti(const std::vector<const Trace *> &traces,
     if (probes.snapshot) {
         probes.snapshot->setCores(n);
         probes.snapshot->begin(prefetchers[0]->name(), mem);
-        if (cbws0) {
-            SnapshotWriter::CbwsGauges gauges;
-            gauges.occupancy = [cbws0] {
-                return static_cast<std::uint64_t>(
-                    cbws0->table().occupancy());
-            };
-            gauges.capacity = [cbws0] {
-                return static_cast<std::uint64_t>(
-                    cbws0->table().capacity());
-            };
-            gauges.tableHits = [cbws0] {
-                return cbws0->schemeStats().tableHits;
-            };
-            gauges.tableMisses = [cbws0] {
-                return cbws0->schemeStats().tableMisses;
-            };
-            probes.snapshot->setCbwsGauges(std::move(gauges));
-        } else {
-            probes.snapshot->setCbwsGauges(
-                SnapshotWriter::CbwsGauges());
-        }
+        probes.snapshot->setCbwsGauges(cbwsGauges(cbws0));
     }
-
-    auto make_context = [](const TraceRecord &rec,
-                           const AccessOutcome &out) {
-        PrefetchContext ctx;
-        ctx.pc = rec.pc;
-        ctx.addr = rec.effAddr;
-        ctx.line = rec.line();
-        ctx.isWrite = rec.cls == InstClass::Store;
-        ctx.l1Hit = out.l1Hit;
-        ctx.l2Miss = out.cls == DemandClass::Shorter ||
-                     out.cls == DemandClass::NonTimely ||
-                     out.cls == DemandClass::Missing;
-        return ctx;
-    };
 
     // The shared hierarchy resets its statistics when the *last* core
     // crosses its warmup boundary (per-core windows are subtracted
@@ -298,29 +181,25 @@ simulateMulti(const std::vector<const Trace *> &traces,
         }
     };
 
-    std::vector<std::unique_ptr<OooCore>> cores;
+    std::vector<CoreHooks> hooks(n);
     for (unsigned c = 0; c < n; ++c) {
-        cores.push_back(
-            std::make_unique<OooCore>(cfg.core, mem, c));
-        cores[c]->setTraceSink(probes.trace);
-        cores[c]->setCommitHookMask(
-            commitMaskFor(c == 0 && probes.snapshot != nullptr));
         Prefetcher *pf = prefetchers[c].get();
         PrefetchSink *sink = sinks[c].get();
-        auto on_commit = [&, c, pf, sink](const TraceRecord &rec,
-                                          const AccessOutcome &out,
-                                          Cycle now) {
+        hooks[c].commit = [&probes, c, pf, sink](const TraceRecord &rec,
+                                                 const AccessOutcome &out,
+                                                 Cycle now) {
             if (c == 0 && probes.snapshot)
                 probes.snapshot->onCommit(now);
-            // Scope inside the dispatch: non-memory retires skip it
-            // (see the single-core hook above).
+            // The scope sits inside the dispatch so commits that never
+            // reach the prefetcher (plain ALU/branch retires, i.e. most
+            // of the stream) pay nothing while profiling.
             switch (rec.cls) {
               case InstClass::Load:
               case InstClass::Store: {
                 PROF_SCOPE_SAMPLED(prof::Phase::PfObserve, 15);
-                pf->observe(PrefetchEvent{PfStage::Commit,
-                                          make_context(rec, out)},
-                            *sink);
+                pf->observe(
+                    PrefetchEvent{PfStage::Commit, contextOf(rec, out)},
+                    *sink);
                 break;
               }
               case InstClass::BlockBegin: {
@@ -337,82 +216,44 @@ simulateMulti(const std::vector<const Trace *> &traces,
                 break;
             }
         };
-        auto on_access = [pf, sink, make_context](
-                             const TraceRecord &rec,
-                             const AccessOutcome &out, Cycle now) {
-            (void)now;
+        hooks[c].access = [pf, sink](const TraceRecord &rec,
+                                     const AccessOutcome &out, Cycle) {
             PROF_SCOPE_SAMPLED(prof::Phase::PfObserve, 15);
-            pf->observe(PrefetchEvent{PfStage::Access,
-                                      make_context(rec, out)},
+            pf->observe(PrefetchEvent{PfStage::Access, contextOf(rec, out)},
                         *sink);
         };
-        auto on_warmup = [&cross_warmup, c](Cycle now) {
+        hooks[c].warmup = [&cross_warmup, c](Cycle now) {
             cross_warmup(c, now);
         };
-        cores[c]->begin(*traces[c], max_insts, on_commit, on_access,
-                        warmup_insts, on_warmup);
     }
 
-    // ---- Lockstep cycle driver ----
-    // All cores step through the same global cycle, core 0 first, so
-    // shared-L2 bank arbitration and prefetch-queue interleaving are
-    // deterministic. Idle cycles fast-forward only when *every* core
-    // is stalled and no prefetch work is pending.
-    constexpr Cycle Never = ~Cycle(0);
-    const bool skip_ahead = Tuning::get().skipAhead;
-    Cycle now = 0;
-    const Cycle cycle_limit = cores[0]->cycleLimit();
-    std::vector<Cycle> end_cycle(n, 0);
-    std::vector<bool> finished(n, false);
-    unsigned running = n;
-    while (running > 0) {
-        mem.tick(now);
-        const std::uint64_t mshr_stalls0 = mem.stats().mshrStalls;
-        bool worked = false;
+    std::vector<CoreStats> core_stats;
+    if (config.coreModel == CoreModel::InOrder) {
+        InOrderCore inorder(config.core, mem);
+        inorder.setTraceSink(probes.trace);
+        core_stats.push_back(inorder.run(*traces[0], max_insts,
+                                         hooks[0].commit, hooks[0].access,
+                                         warmup_insts, hooks[0].warmup));
+    } else {
+        std::vector<std::unique_ptr<OooCore>> cores;
+        std::vector<OooCore *> order;
         for (unsigned c = 0; c < n; ++c) {
-            if (finished[c])
-                continue;
-            worked = cores[c]->step(now) || worked;
-            if (cores[c]->done()) {
-                finished[c] = true;
-                end_cycle[c] = now;
-                --running;
-                // A trace that ends before its warmup boundary still
-                // releases the shared reset.
-                cross_warmup(c, now);
-            }
+            cores.push_back(std::make_unique<OooCore>(config.core, mem, c));
+            order.push_back(cores[c].get());
+            cores[c]->setTraceSink(probes.trace);
+            cores[c]->setCommitHookMask(
+                commitMaskFor(c == 0 && probes.snapshot != nullptr));
+            cores[c]->begin(*traces[c], max_insts, hooks[c].commit,
+                            hooks[c].access, warmup_insts,
+                            hooks[c].warmup);
         }
-        if (running == 0)
-            break;
-        if (skip_ahead && !worked && !mem.prefetchWorkPending()) {
-            Cycle next_event = mem.nextEventCycle();
-            for (unsigned c = 0; c < n; ++c) {
-                if (finished[c])
-                    continue;
-                const Cycle local = cores[c]->nextLocalEvent(now);
-                if (local < next_event)
-                    next_event = local;
-            }
-            if (next_event != Never && next_event > now + 1) {
-                const Cycle skipped = next_event - now - 1;
-                for (unsigned c = 0; c < n; ++c)
-                    if (!finished[c])
-                        cores[c]->addSkippedCycles(skipped);
-                // Replay the failed-retry stall counts the skipped
-                // repeats of this frozen cycle would have added.
-                mem.addSkippedMshrStalls(
-                    (mem.stats().mshrStalls - mshr_stalls0) *
-                    skipped);
-                now += skipped;
-            }
-        }
-        ++now;
-        if (now > cycle_limit) {
-            warn("simulateMulti: cycle limit reached (%llu cycles); "
-                 "possible livelock",
-                 static_cast<unsigned long long>(now));
-            break;
-        }
+        // A core whose trace ends before its warmup boundary still
+        // releases the shared reset. A lone core has nothing to
+        // release: its whole run stays in the statistics.
+        std::function<void(unsigned, Cycle)> on_done;
+        if (n > 1)
+            on_done = cross_warmup;
+        core_stats = runCores(order, mem, on_done);
     }
 
     mem.finalize();
@@ -423,12 +264,11 @@ simulateMulti(const std::vector<const Trace *> &traces,
     result.dramBackend = mem.dram().name();
     result.mem = mem.stats();
     result.prefetcherStorageBits = prefetchers[0]->storageBits();
-    result.perCore.resize(n);
+    std::vector<CoreSliceResult> slices(n);
     for (unsigned c = 0; c < n; ++c) {
-        CoreSliceResult &slice = result.perCore[c];
+        CoreSliceResult &slice = slices[c];
         slice.workload = workload_names[c];
-        slice.core =
-            cores[c]->finish(finished[c] ? end_cycle[c] : now);
+        slice.core = core_stats[c];
         if (c < result.mem.perCore.size())
             slice.mem = result.mem.perCore[c];
         // Aggregate: instructions and event counts sum across cores;
@@ -448,11 +288,14 @@ simulateMulti(const std::vector<const Trace *> &traces,
             result.workload += "+" + slice.workload;
         }
     }
+    if (n > 1)
+        result.perCore = std::move(slices);
     if (probes.schemeMetrics) {
         for (unsigned c = 0; c < n; ++c) {
             prefetchers[c]->exportMetrics(
                 *probes.schemeMetrics,
-                "core" + std::to_string(c) + ".pf.scheme");
+                n == 1 ? "pf.scheme"
+                       : "core" + std::to_string(c) + ".pf.scheme");
         }
     }
     if (probes.snapshot)

@@ -129,7 +129,8 @@ struct SimProbes
 };
 
 /**
- * Run @p trace through a system configured by @p config.
+ * Run @p trace through a single-core system configured by @p config:
+ * simulateMulti() with one trace and an empty workload name.
  *
  * @param warmup_insts committed instructions whose statistics are
  *        discarded (caches and predictors stay warm) — stands in for
@@ -151,17 +152,19 @@ SimResult simulateWorkload(const Workload &workload,
                            std::uint64_t warmup_insts = 0);
 
 /**
- * Multi-core run: one core per entry of @p traces (with the matching
- * display name in @p workload_names), all sharing the L2 + DRAM
- * backend of one Hierarchy, each with a private prefetcher instance.
- * Cores are stepped in lockstep, core 0 first each cycle, so results
- * are deterministic. config.mem.numCores is overridden to
- * traces.size(). With a single trace this degenerates to simulate()
- * (bit-identical to the single-core path). Requires the out-of-order
+ * The simulation driver: one core per entry of @p traces (with the
+ * matching display name in @p workload_names), all sharing the L2 +
+ * DRAM backend of one Hierarchy, each with a private prefetcher
+ * instance. Cores are stepped in lockstep by runCores(), core 0 first
+ * each cycle, so results are deterministic. config.mem.numCores is
+ * overridden to traces.size(). One trace is the single-core system
+ * (what simulate() runs); more than one requires the out-of-order
  * core model.
  *
  * @param warmup_insts per-core warmup window; the shared hierarchy
- *        statistics reset when the *last* core crosses its boundary.
+ *        statistics reset when the *last* core crosses its boundary
+ *        (a core whose trace ends first counts as crossed, unless it
+ *        is the only core).
  */
 SimResult simulateMulti(const std::vector<const Trace *> &traces,
                         const std::vector<std::string> &workload_names,

@@ -117,12 +117,11 @@ TEST(CbwsAddOn, UnmutedAfterBlockEnds)
 TEST(CbwsAddOn, EndToEndThroughConfig)
 {
     SystemConfig config;
-    config.prefetcher = PrefetcherKind::CbwsAmpm;
+    config.scheme = "CBWS+AMPM";
     auto pf = makePrefetcher(config);
     EXPECT_EQ(pf->name(), "CBWS+AMPM");
-    EXPECT_EQ(toString(PrefetcherKind::Ampm), std::string("AMPM"));
-    EXPECT_EQ(extendedPrefetcherKinds().size(),
-              allPrefetcherKinds().size() + 2);
+    EXPECT_EQ(extendedSchemeNames().size(), allSchemeNames().size() + 2);
+    EXPECT_EQ(extendedSchemeNames().back(), "CBWS+AMPM");
 }
 
 } // anonymous namespace

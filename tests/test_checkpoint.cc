@@ -410,8 +410,7 @@ class CheckpointResumeTest : public CheckpointFileTest
             ASSERT_NE(w, nullptr) << name;
             workloads_.push_back(std::move(w));
         }
-        kinds_ = {PrefetcherKind::None, PrefetcherKind::Stride,
-                  PrefetcherKind::Cbws};
+        kinds_ = {"No-Prefetch", "Stride", "CBWS"};
     }
 
     ExperimentMatrix
@@ -448,7 +447,7 @@ class CheckpointResumeTest : public CheckpointFileTest
     }
 
     std::vector<WorkloadPtr> workloads_;
-    std::vector<PrefetcherKind> kinds_;
+    std::vector<std::string> kinds_;
     static constexpr std::uint64_t insts_ = 8000;
 };
 

@@ -366,7 +366,7 @@ class DdrMatrixTest : public ::testing::Test
             ASSERT_NE(w, nullptr) << name;
             workloads_.push_back(std::move(w));
         }
-        kinds_ = {PrefetcherKind::Cbws, PrefetcherKind::Sms};
+        kinds_ = {"CBWS", "SMS"};
         char tmpl[] = "/tmp/cbws-dram-XXXXXX";
         ASSERT_NE(::mkdtemp(tmpl), nullptr);
         dir_ = tmpl;
@@ -423,7 +423,7 @@ class DdrMatrixTest : public ::testing::Test
     }
 
     std::vector<WorkloadPtr> workloads_;
-    std::vector<PrefetcherKind> kinds_;
+    std::vector<std::string> kinds_;
     std::string dir_;
 };
 

@@ -62,7 +62,7 @@ TEST(ParallelMatrix, FourJobsBitIdenticalToSerialAcrossAllKinds)
 {
     const auto ws = sampleWorkloads();
     ASSERT_EQ(ws.size(), 3u);
-    const auto kinds = allPrefetcherKinds();
+    const auto kinds = allSchemeNames();
     SystemConfig cfg;
     constexpr std::uint64_t insts = 12000;
 
@@ -92,8 +92,7 @@ TEST(ParallelMatrix, MoreJobsThanCellsIsStillIdentical)
     std::vector<WorkloadPtr> ws;
     ws.push_back(findWorkload("stencil-default"));
     ASSERT_NE(ws[0], nullptr);
-    const std::vector<PrefetcherKind> kinds = {PrefetcherKind::Cbws,
-                                               PrefetcherKind::Sms};
+    const std::vector<std::string> kinds = {"CBWS", "SMS"};
     SystemConfig cfg;
 
     MatrixOptions serial;
@@ -123,7 +122,7 @@ TEST(ParallelMatrix, ResultLookupAgreesWithRowLayout)
         EXPECT_EQ(&m.result(0, schemes[k]),
                   &m.rows[0].byPrefetcher[k]);
     // The deprecated enum overload resolves to the same columns.
-    EXPECT_EQ(&m.result(0, PrefetcherKind::Sms),
+    EXPECT_EQ(&m.result(0, "SMS"),
               &m.result(0, std::string("SMS")));
 }
 

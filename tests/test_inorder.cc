@@ -147,7 +147,7 @@ TEST(InOrderCore, PrefetchingHelpsMoreThanOnOoO)
     auto speedup = [&](CoreModel model) {
         SystemConfig none_cfg, pf_cfg;
         none_cfg.coreModel = pf_cfg.coreModel = model;
-        pf_cfg.prefetcher = PrefetcherKind::CbwsSms;
+        pf_cfg.scheme = "CBWS+SMS";
         const double base =
             simulate(trace, none_cfg, params.maxInstructions).ipc();
         const double pf =

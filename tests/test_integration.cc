@@ -19,13 +19,13 @@ namespace
 {
 
 SimResult
-runOne(const std::string &workload, PrefetcherKind kind,
+runOne(const std::string &workload, const std::string &scheme,
        std::uint64_t insts = 40000)
 {
     auto w = findWorkload(workload);
     EXPECT_NE(w, nullptr);
     SystemConfig cfg;
-    cfg.prefetcher = kind;
+    cfg.scheme = scheme;
     WorkloadParams params;
     params.maxInstructions = insts;
     return simulateWorkload(*w, cfg, params, SimProbes(), insts / 4);
@@ -36,8 +36,8 @@ TEST(Integration, CbwsBeatsSmsOnBlockStructuredKernels)
     // Paper Section VII-A/C: sgemm, stencil, lu-ncb are CBWS wins.
     for (const char *name :
          {"sgemm-medium", "stencil-default", "lu-ncb-simlarge"}) {
-        SimResult sms = runOne(name, PrefetcherKind::Sms);
-        SimResult cbws = runOne(name, PrefetcherKind::Cbws);
+        SimResult sms = runOne(name, "SMS");
+        SimResult cbws = runOne(name, "CBWS");
         EXPECT_GT(cbws.ipc(), sms.ipc() * 1.3)
             << name << " CBWS should clearly beat SMS";
         EXPECT_LT(cbws.mpki(), sms.mpki())
@@ -48,8 +48,8 @@ TEST(Integration, CbwsBeatsSmsOnBlockStructuredKernels)
 TEST(Integration, SgemmHeadlineSpeedup)
 {
     // The paper's best case: ~4x on sgemm for CBWS+SMS over SMS.
-    SimResult sms = runOne("sgemm-medium", PrefetcherKind::Sms);
-    SimResult hybrid = runOne("sgemm-medium", PrefetcherKind::CbwsSms);
+    SimResult sms = runOne("sgemm-medium", "SMS");
+    SimResult hybrid = runOne("sgemm-medium", "CBWS+SMS");
     EXPECT_GT(hybrid.ipc() / sms.ipc(), 2.5);
 }
 
@@ -57,8 +57,8 @@ TEST(Integration, SmsWinsOnDataDependentKernels)
 {
     // histo's histogram update is input-data dependent: standalone
     // CBWS cannot predict it (Fig. 16 discussion).
-    SimResult sms = runOne("histo-large", PrefetcherKind::Sms);
-    SimResult cbws = runOne("histo-large", PrefetcherKind::Cbws);
+    SimResult sms = runOne("histo-large", "SMS");
+    SimResult cbws = runOne("histo-large", "CBWS");
     EXPECT_GT(sms.ipc(), cbws.ipc() * 1.2);
 }
 
@@ -67,8 +67,8 @@ TEST(Integration, HybridFallsBackGracefully)
     // Where CBWS fails, CBWS+SMS must track SMS closely (the "best
     // of both worlds" claim).
     for (const char *name : {"histo-large", "450.soplex-ref"}) {
-        SimResult sms = runOne(name, PrefetcherKind::Sms);
-        SimResult hybrid = runOne(name, PrefetcherKind::CbwsSms);
+        SimResult sms = runOne(name, "SMS");
+        SimResult hybrid = runOne(name, "CBWS+SMS");
         EXPECT_GT(hybrid.ipc(), sms.ipc() * 0.9) << name;
     }
 }
@@ -76,8 +76,8 @@ TEST(Integration, HybridFallsBackGracefully)
 TEST(Integration, HybridNeverFarBelowStandaloneCbws)
 {
     for (const char *name : {"stencil-default", "radix-simlarge"}) {
-        SimResult cbws = runOne(name, PrefetcherKind::Cbws);
-        SimResult hybrid = runOne(name, PrefetcherKind::CbwsSms);
+        SimResult cbws = runOne(name, "CBWS");
+        SimResult hybrid = runOne(name, "CBWS+SMS");
         EXPECT_GT(hybrid.ipc(), cbws.ipc() * 0.9) << name;
     }
 }
@@ -87,8 +87,8 @@ TEST(Integration, CbwsAccuracyBest)
     // Fig. 13: CBWS has the fewest wrong prefetches of the real
     // prefetchers on memory-intensive workloads.
     const char *name = "stencil-default";
-    SimResult cbws = runOne(name, PrefetcherKind::Cbws);
-    SimResult ghb = runOne(name, PrefetcherKind::GhbPcDc);
+    SimResult cbws = runOne(name, "CBWS");
+    SimResult ghb = runOne(name, "GHB-PC/DC");
     EXPECT_LE(cbws.wrongFraction(), ghb.wrongFraction() + 0.02);
     EXPECT_LT(cbws.wrongFraction(), 0.15);
 }
@@ -102,29 +102,29 @@ TEST(Integration, PrefetchingNeverBreaksCorrectnessMetrics)
     params.maxInstructions = 20000;
     Trace t;
     w->generate(t, params);
-    for (PrefetcherKind kind : allPrefetcherKinds()) {
+    for (const std::string &scheme : allSchemeNames()) {
         SystemConfig cfg;
-        cfg.prefetcher = kind;
+        cfg.scheme = scheme;
         SimResult r = simulate(t, cfg, params.maxInstructions);
         EXPECT_EQ(r.core.instructions, params.maxInstructions)
-            << toString(kind);
+            << scheme;
         EXPECT_GE(r.core.cycles, params.maxInstructions / 4)
-            << toString(kind);
+            << scheme;
     }
 }
 
 TEST(Integration, StorageHierarchyMatchesTable3)
 {
     SystemConfig cfg;
-    auto storage = [&cfg](PrefetcherKind kind) {
-        cfg.prefetcher = kind;
+    auto storage = [&cfg](const std::string &scheme) {
+        cfg.scheme = scheme;
         return makePrefetcher(cfg)->storageBits();
     };
-    const auto cbws = storage(PrefetcherKind::Cbws);
-    const auto stride = storage(PrefetcherKind::Stride);
-    const auto gdc = storage(PrefetcherKind::GhbGDc);
-    const auto pcdc = storage(PrefetcherKind::GhbPcDc);
-    const auto sms = storage(PrefetcherKind::Sms);
+    const auto cbws = storage("CBWS");
+    const auto stride = storage("Stride");
+    const auto gdc = storage("GHB-G/DC");
+    const auto pcdc = storage("GHB-PC/DC");
+    const auto sms = storage("SMS");
     // CBWS < 1 KB, smallest of all; SMS is the largest (5 KB).
     EXPECT_LT(cbws, 8192u);
     EXPECT_LT(cbws, stride);
@@ -142,7 +142,7 @@ TEST(Integration, LoopFractionHighOnMiBenchmarks)
     for (const char *name :
          {"stencil-default", "sgemm-medium", "462.libquantum-ref",
           "radix-simlarge"}) {
-        SimResult r = runOne(name, PrefetcherKind::None, 20000);
+        SimResult r = runOne(name, "No-Prefetch", 20000);
         sum += r.core.loopFraction();
         ++n;
     }
@@ -158,13 +158,13 @@ TEST(Integration, HeadlineReproduces)
     SystemConfig cfg;
     auto matrix =
         runMatrix(memoryIntensiveWorkloads(),
-                  {PrefetcherKind::Sms, PrefetcherKind::CbwsSms},
+                  {"SMS", "CBWS+SMS"},
                   cfg, 50000);
     double log_sum = 0.0;
     for (std::size_t r = 0; r < matrix.rows.size(); ++r) {
         const double ratio =
-            matrix.result(r, PrefetcherKind::CbwsSms).ipc() /
-            matrix.result(r, PrefetcherKind::Sms).ipc();
+            matrix.result(r, "CBWS+SMS").ipc() /
+            matrix.result(r, "SMS").ipc();
         log_sum += std::log(ratio);
     }
     const double geomean =
@@ -193,7 +193,7 @@ TEST(Integration, AnnotatorMatchesExplicitMarkersOnLoopKernel)
     ASSERT_GE(ann.loops().size(), 1u);
 
     SystemConfig cfg;
-    cfg.prefetcher = PrefetcherKind::Cbws;
+    cfg.scheme = "CBWS";
     SimResult manual = simulate(annotated, cfg, 25000);
     SimResult automatic = simulate(reannotated, cfg, 25000);
     EXPECT_NEAR(automatic.ipc(), manual.ipc(),

@@ -150,7 +150,7 @@ TEST(SimMetrics, RegistryRendersExactlyTheStatsdumpBody)
     auto w = findWorkload("stencil-default");
     ASSERT_NE(w, nullptr);
     SystemConfig cfg;
-    cfg.prefetcher = PrefetcherKind::CbwsSms;
+    cfg.scheme = "CBWS+SMS";
     WorkloadParams params;
     params.maxInstructions = 10000;
     SimResult r = simulateWorkload(*w, cfg, params);

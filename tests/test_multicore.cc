@@ -1,13 +1,15 @@
 /**
  * @file
- * Multi-core simulation: single-core equivalence, lockstep
- * determinism at any matrix job count, per-core/aggregate counter
- * reconciliation, cross-core pollution attribution, and the v3
- * report/checkpoint schemas.
+ * Multi-core simulation: single-core equivalence with a hand-wired
+ * system, lockstep determinism at any matrix job count,
+ * per-core/aggregate counter reconciliation, cross-core pollution
+ * attribution, profiler attribution, and the v3 report/checkpoint
+ * schemas.
  */
 
 #include <gtest/gtest.h>
 
+#include "base/profiler.hh"
 #include "sim/checkpoint.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
@@ -38,7 +40,7 @@ SystemConfig
 contendedConfig(unsigned cores)
 {
     SystemConfig cfg;
-    cfg.prefetcher = PrefetcherKind::CbwsSms;
+    cfg.scheme = "CBWS+SMS";
     cfg.mem.numCores = cores;
     cfg.mem.l2.sizeBytes = 64 * 1024;
     return cfg;
@@ -60,23 +62,112 @@ runMix(unsigned cores, const std::vector<std::string> &mix,
                          warmup);
 }
 
+/** The hierarchy end of the hand-wired reference below. */
+class ReferenceSink : public PrefetchSink
+{
+  public:
+    explicit ReferenceSink(Hierarchy &mem) : mem_(mem) {}
+
+    void
+    issuePrefetch(LineAddr line, PfSource src) override
+    {
+        mem_.enqueuePrefetch(line, src);
+    }
+
+    bool
+    isCached(LineAddr line) const override
+    {
+        return mem_.isCachedOrInFlightL2(line);
+    }
+
+  private:
+    Hierarchy &mem_;
+};
+
+PrefetchContext
+contextOf(const TraceRecord &rec, const AccessOutcome &out)
+{
+    PrefetchContext ctx;
+    ctx.pc = rec.pc;
+    ctx.addr = rec.effAddr;
+    ctx.line = rec.line();
+    ctx.isWrite = rec.cls == InstClass::Store;
+    ctx.l1Hit = out.l1Hit;
+    ctx.l2Miss = out.cls == DemandClass::Shorter ||
+                 out.cls == DemandClass::NonTimely ||
+                 out.cls == DemandClass::Missing;
+    return ctx;
+}
+
+/**
+ * A single-core system wired by hand, independently of the simulator
+ * driver: one Hierarchy, makePrefetcher() trained at commit (and at
+ * access), OooCore::run(), and a hierarchy-statistics reset at the
+ * warm-up boundary.
+ */
+SimResult
+handWired(const Trace &trace, const SystemConfig &cfg,
+          std::uint64_t warmup)
+{
+    Hierarchy mem(cfg.mem);
+    const std::unique_ptr<Prefetcher> pf = makePrefetcher(cfg);
+    ReferenceSink sink(mem);
+    const auto on_commit = [&](const TraceRecord &rec,
+                               const AccessOutcome &out, Cycle) {
+        switch (rec.cls) {
+          case InstClass::Load:
+          case InstClass::Store:
+            pf->observe(PrefetchEvent{PfStage::Commit, contextOf(rec, out)},
+                        sink);
+            break;
+          case InstClass::BlockBegin:
+            pf->blockBegin(rec.blockId, sink);
+            break;
+          case InstClass::BlockEnd:
+            pf->blockEnd(rec.blockId, sink);
+            break;
+          default:
+            break;
+        }
+    };
+    const auto on_access = [&](const TraceRecord &rec,
+                               const AccessOutcome &out, Cycle) {
+        pf->observe(PrefetchEvent{PfStage::Access, contextOf(rec, out)},
+                    sink);
+    };
+    const auto on_warmup = [&mem](Cycle) { mem.resetStats(); };
+
+    SimResult result;
+    result.prefetcher = pf->name();
+    result.dramBackend = mem.dram().name();
+    OooCore core(cfg.core, mem);
+    result.core =
+        core.run(trace, kInsts, on_commit, on_access, warmup, on_warmup);
+    mem.finalize();
+    result.mem = mem.stats();
+    result.prefetcherStorageBits = pf->storageBits();
+    return result;
+}
+
 TEST(Multicore, SingleCoreMatchesSimulate)
 {
+    // simulate() is the one-core case of the lockstep driver; it must
+    // reproduce a system wired without that driver.
     const Trace t = makeTrace("stencil-default");
-    SystemConfig cfg = contendedConfig(1);
-
-    SimResult single =
-        simulate(t, cfg, kInsts, SimProbes(), kInsts / 4);
-    single.workload = "stencil-default";
-
-    SimResult multi = simulateMulti({&t}, {"stencil-default"}, cfg,
-                                    kInsts, SimProbes(), kInsts / 4);
-
-    // Byte-identical reports — the CI golden diff rests on this.
-    EXPECT_EQ(toJson(single), toJson(multi));
-    EXPECT_EQ(multi.cores, 1u);
-    EXPECT_TRUE(multi.perCore.empty());
-    EXPECT_TRUE(multi.mem.perCore.empty());
+    for (const char *scheme : {"CBWS+SMS", "Pythia"}) {
+        for (const std::uint64_t warmup : {std::uint64_t(0), kInsts / 4}) {
+            SystemConfig cfg = contendedConfig(1);
+            cfg.scheme = scheme;
+            const SimResult single =
+                simulate(t, cfg, kInsts, SimProbes(), warmup);
+            // Byte-identical reports — the CI golden diff rests on this.
+            EXPECT_EQ(toJson(single), toJson(handWired(t, cfg, warmup)))
+                << scheme << ", warmup " << warmup;
+            EXPECT_EQ(single.cores, 1u);
+            EXPECT_TRUE(single.perCore.empty());
+            EXPECT_TRUE(single.mem.perCore.empty());
+        }
+    }
 }
 
 TEST(Multicore, DeterministicAcrossRuns)
@@ -98,8 +189,7 @@ TEST(Multicore, MatrixDeterministicAcrossJobCounts)
     std::vector<WorkloadPtr> ws;
     for (const char *name : {"stencil-default", "nw"})
         ws.push_back(findWorkload(name));
-    const std::vector<PrefetcherKind> kinds = {
-        PrefetcherKind::None, PrefetcherKind::CbwsSms};
+    const std::vector<std::string> kinds = {"No-Prefetch", "CBWS+SMS"};
     SystemConfig cfg = contendedConfig(2);
 
     MatrixOptions serial;
@@ -117,7 +207,7 @@ TEST(Multicore, MatrixDeterministicAcrossJobCounts)
             const SimResult &a = m1.rows[r].byPrefetcher[k];
             const SimResult &b = m4.rows[r].byPrefetcher[k];
             EXPECT_EQ(toJson(a), toJson(b))
-                << m1.rows[r].workload << " / " << toString(kinds[k]);
+                << m1.rows[r].workload << " / " << kinds[k];
             EXPECT_EQ(a.cores, 2u);
         }
     }
@@ -212,6 +302,36 @@ TEST(Multicore, SingleCoreReportStaysV2)
     EXPECT_EQ(json.find("\"cores\""), std::string::npos);
     EXPECT_EQ(json.find("\"per_core\""), std::string::npos);
     EXPECT_EQ(json.find("\"interference\""), std::string::npos);
+}
+
+TEST(Multicore, ProfileChargesTheCoreLoopToDecode)
+{
+    // The lockstep loop is the core's time: a profiled multi-core run
+    // must attribute it to decode, not leave it unattributed.
+    const std::vector<std::string> mix = {"radix-simlarge",
+                                          "lbm-long"};
+    const std::vector<Trace> traces = {makeTrace(mix[0], 20000),
+                                       makeTrace(mix[1], 20000)};
+    const std::vector<const Trace *> core_traces = {&traces[0],
+                                                    &traces[1]};
+    const unsigned decode_phase =
+        static_cast<unsigned>(prof::Phase::Decode);
+    const unsigned other_phase = static_cast<unsigned>(prof::Phase::Other);
+    // Host-time shares: best of three, so one descheduling of this
+    // process outside the loop cannot fail the test on a loaded host.
+    double decode = 0.0, other = 0.0;
+    for (int attempt = 0; attempt < 3 && decode <= other; ++attempt) {
+        prof::resetForTest();
+        prof::enable();
+        simulateMulti(core_traces, mix, contendedConfig(2), 20000);
+        const prof::Report rep = prof::report();
+        EXPECT_EQ(rep.phaseEntries[decode_phase], 1u);
+        decode = rep.phaseSeconds[decode_phase];
+        other = rep.phaseSeconds[other_phase];
+    }
+    prof::resetForTest();
+    EXPECT_GT(decode, other) << "decode " << decode << " s, other "
+                             << other << " s";
 }
 
 TEST(Multicore, CheckpointRoundTripsMulticoreCells)

@@ -21,17 +21,47 @@ namespace
 using test::MockSink;
 using test::memCtx;
 
+/**
+ * A scheme by its position in extendedSchemeNames(). The index, not
+ * the name, is the test parameter: gtest prints an unprintable 4-byte
+ * struct as its bytes, which keeps the instantiated test names stable.
+ */
+struct SchemeIndex
+{
+    std::uint32_t index;
+
+    std::string name() const { return extendedSchemeNames().at(index); }
+};
+
+std::vector<SchemeIndex>
+schemeIndices(std::size_t count)
+{
+    std::vector<SchemeIndex> out;
+    for (std::uint32_t i = 0; i < count; ++i)
+        out.push_back(SchemeIndex{i});
+    return out;
+}
+
+std::string
+schemeTestName(const testing::TestParamInfo<SchemeIndex> &param_info)
+{
+    std::string s = param_info.param.name();
+    for (char &c : s)
+        if (!isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return s;
+}
+
 // ---- Property: every prefetcher behaves sanely on random traces ----
 
-class PrefetcherPropertyTest
-    : public testing::TestWithParam<PrefetcherKind>
+class PrefetcherPropertyTest : public testing::TestWithParam<SchemeIndex>
 {
 };
 
 TEST_P(PrefetcherPropertyTest, SurvivesRandomAccessStream)
 {
     SystemConfig cfg;
-    cfg.prefetcher = GetParam();
+    cfg.scheme = GetParam().name();
     auto pf = makePrefetcher(cfg);
     MockSink sink;
     Random rng(99);
@@ -54,7 +84,7 @@ TEST_P(PrefetcherPropertyTest, NeverIssuesCachedLines)
     // Prefetchers consult isCached() before issuing: a sink claiming
     // everything is cached must see zero issues.
     SystemConfig cfg;
-    cfg.prefetcher = GetParam();
+    cfg.scheme = GetParam().name();
     auto pf = makePrefetcher(cfg);
 
     class AllCachedSink : public PrefetchSink
@@ -87,7 +117,7 @@ TEST_P(PrefetcherPropertyTest, EndToEndInvariants)
     w->generate(t, params);
 
     SystemConfig cfg;
-    cfg.prefetcher = GetParam();
+    cfg.scheme = GetParam().name();
     SimResult r = simulate(t, cfg, params.maxInstructions);
 
     const auto &m = r.mem;
@@ -138,7 +168,7 @@ TEST_P(PrefetcherPropertyTest, LifecycleConservationLaws)
         for (CoreModel model :
              {CoreModel::OutOfOrder, CoreModel::InOrder}) {
             SystemConfig cfg;
-            cfg.prefetcher = GetParam();
+            cfg.scheme = GetParam().name();
             cfg.coreModel = model;
             SimResult r = simulate(t, cfg, params.maxInstructions,
                                    SimProbes(), /*warmup_insts=*/0);
@@ -172,14 +202,8 @@ TEST_P(PrefetcherPropertyTest, LifecycleConservationLaws)
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, PrefetcherPropertyTest,
-    testing::ValuesIn(allPrefetcherKinds()),
-    [](const testing::TestParamInfo<PrefetcherKind> &param_info) {
-        std::string s = toString(param_info.param);
-        for (char &c : s)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return s;
-    });
+    testing::ValuesIn(schemeIndices(allSchemeNames().size())),
+    schemeTestName);
 
 // ---- Property: CBWS predicts constant strides for any geometry ----
 
@@ -306,14 +330,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HierarchyRandomTest,
 // ---- Property: random-but-wellformed traces through the full
 // simulator, every scheme (including the extensions) ----
 
-class SimulatorFuzzTest
-    : public testing::TestWithParam<PrefetcherKind>
+class SimulatorFuzzTest : public testing::TestWithParam<SchemeIndex>
 {
 };
 
 TEST_P(SimulatorFuzzTest, RandomTraceRunsToCompletion)
 {
-    Random rng(1234 + static_cast<unsigned>(GetParam()));
+    Random rng(1234 + GetParam().index);
     Trace t;
     Addr pc = 0x400000;
     bool in_block = false;
@@ -351,7 +374,7 @@ TEST_P(SimulatorFuzzTest, RandomTraceRunsToCompletion)
     }
 
     SystemConfig cfg;
-    cfg.prefetcher = GetParam();
+    cfg.scheme = GetParam().name();
     SimResult r = simulate(t, cfg, 5000);
     EXPECT_EQ(r.core.instructions, 5000u);
     EXPECT_GT(r.core.cycles, 0u);
@@ -364,14 +387,8 @@ TEST_P(SimulatorFuzzTest, RandomTraceRunsToCompletion)
 
 INSTANTIATE_TEST_SUITE_P(
     ExtendedKinds, SimulatorFuzzTest,
-    testing::ValuesIn(extendedPrefetcherKinds()),
-    [](const testing::TestParamInfo<PrefetcherKind> &param_info) {
-        std::string s = toString(param_info.param);
-        for (char &c : s)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return s;
-    });
+    testing::ValuesIn(schemeIndices(extendedSchemeNames().size())),
+    schemeTestName);
 
 // ---- Property: identical traces, identical results per scheme ----
 
@@ -379,8 +396,7 @@ TEST(Determinism, WholeMatrixIsReproducible)
 {
     std::vector<WorkloadPtr> ws;
     ws.push_back(findWorkload("fft-simlarge"));
-    const std::vector<PrefetcherKind> kinds = {PrefetcherKind::Cbws,
-                                               PrefetcherKind::Sms};
+    const std::vector<std::string> kinds = {"CBWS", "SMS"};
     SystemConfig cfg;
     auto m1 = runMatrix(ws, kinds, cfg, 8000);
     ws.clear();

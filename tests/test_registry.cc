@@ -3,7 +3,7 @@
  * String-keyed prefetcher registry: every scheme the paper evaluates
  * (plus the extensions) must be registered under its figure-legend
  * name, resolve case-insensitively, and build the same prefetcher
- * the PrefetcherKind compat shim builds — identical name() and
+ * makePrefetcher() builds from a SystemConfig — identical name() and
  * Table III storageBits().
  */
 
@@ -22,22 +22,21 @@ namespace
 
 TEST(PrefetcherRegistry, EveryKindRoundTripsThroughTheRegistry)
 {
-    for (PrefetcherKind kind : extendedPrefetcherKinds()) {
-        const std::string name = toString(kind);
+    for (const std::string &name : extendedSchemeNames()) {
         ASSERT_TRUE(prefetcherRegistry().contains(name)) << name;
 
         SystemConfig config;
-        config.prefetcher = kind;
-        const auto via_shim = makePrefetcher(config);
-        ASSERT_NE(via_shim, nullptr) << name;
+        config.scheme = name;
+        const auto via_config = makePrefetcher(config);
+        ASSERT_NE(via_config, nullptr) << name;
 
         Result<std::unique_ptr<Prefetcher>> via_registry =
             prefetcherRegistry().create(name, paramSetFrom(config));
         ASSERT_TRUE(via_registry.ok())
             << name << ": " << via_registry.error().str();
         const auto &direct = via_registry.value();
-        EXPECT_EQ(direct->name(), via_shim->name()) << name;
-        EXPECT_EQ(direct->storageBits(), via_shim->storageBits())
+        EXPECT_EQ(direct->name(), via_config->name()) << name;
+        EXPECT_EQ(direct->storageBits(), via_config->storageBits())
             << name;
     }
 }
@@ -94,17 +93,17 @@ TEST(PrefetcherRegistry, UnknownNameListsTheRegisteredSchemes)
 TEST(PrefetcherRegistry, ParamsReachTheFactory)
 {
     // A non-default degree must change the built prefetcher's
-    // hardware budget exactly as it does through the enum shim.
+    // hardware budget exactly as it does through makePrefetcher().
     SystemConfig config;
-    config.prefetcher = PrefetcherKind::Stride;
+    config.scheme = "Stride";
     config.stride.tableEntries = 1024; // default is smaller
 
-    const auto via_shim = makePrefetcher(config);
+    const auto via_config = makePrefetcher(config);
     auto via_registry =
         prefetcherRegistry().create("Stride", paramSetFrom(config));
     ASSERT_TRUE(via_registry.ok());
     EXPECT_EQ(via_registry.value()->storageBits(),
-              via_shim->storageBits());
+              via_config->storageBits());
 
     // And differs from the Table II default-parameter build.
     auto default_build = prefetcherRegistry().create("Stride");

@@ -123,7 +123,7 @@ runSmallMatrix(unsigned jobs)
     const auto ws = sampleWorkloads();
     MatrixOptions opts;
     opts.jobs = jobs;
-    return runMatrix(ws, allPrefetcherKinds(), SystemConfig(), 10000,
+    return runMatrix(ws, allSchemeNames(), SystemConfig(), 10000,
                      42, opts);
 }
 

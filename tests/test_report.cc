@@ -112,7 +112,7 @@ TEST(Report, LiveSimulationExports)
     WorkloadParams params;
     params.maxInstructions = 5000;
     SystemConfig config;
-    config.prefetcher = PrefetcherKind::CbwsSms;
+    config.scheme = "CBWS+SMS";
     SimResult r = simulateWorkload(*w, config, params);
     const std::string json = toJson(r);
     EXPECT_NE(json.find("\"prefetcher\":\"CBWS+SMS\""),

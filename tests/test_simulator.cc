@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "sim/experiment.hh"
+#include "sim/report.hh"
+#include "sim/snapshot.hh"
 #include "workloads/registry.hh"
 
 namespace cbws
@@ -15,20 +20,22 @@ namespace
 
 TEST(Config, PrefetcherNames)
 {
-    EXPECT_STREQ(toString(PrefetcherKind::None), "No-Prefetch");
-    EXPECT_STREQ(toString(PrefetcherKind::Sms), "SMS");
-    EXPECT_STREQ(toString(PrefetcherKind::CbwsSms), "CBWS+SMS");
-    EXPECT_EQ(allPrefetcherKinds().size(), 7u);
+    const std::vector<std::string> names = allSchemeNames();
+    ASSERT_EQ(names.size(), 7u);
+    EXPECT_EQ(names.front(), "No-Prefetch");
+    EXPECT_EQ(names[4], "SMS");
+    EXPECT_EQ(names.back(), "CBWS+SMS");
+    EXPECT_EQ(SystemConfig().scheme, "No-Prefetch");
 }
 
 TEST(Config, MakePrefetcherMatchesKind)
 {
-    for (PrefetcherKind kind : allPrefetcherKinds()) {
+    for (const std::string &name : extendedSchemeNames()) {
         SystemConfig cfg;
-        cfg.prefetcher = kind;
+        cfg.scheme = name;
         auto pf = makePrefetcher(cfg);
         ASSERT_NE(pf, nullptr);
-        EXPECT_EQ(pf->name(), toString(kind));
+        EXPECT_EQ(pf->name(), name);
     }
 }
 
@@ -59,7 +66,7 @@ TEST(Simulate, CbwsCutsStencilMisses)
     w->generate(t, params);
 
     SystemConfig none_cfg, cbws_cfg;
-    cbws_cfg.prefetcher = PrefetcherKind::Cbws;
+    cbws_cfg.scheme = "CBWS";
     SimResult none = simulate(t, none_cfg, params.maxInstructions);
     SimResult cbws = simulate(t, cbws_cfg, params.maxInstructions);
     EXPECT_LT(cbws.mpki(), none.mpki() * 0.3);
@@ -72,7 +79,7 @@ TEST(Simulate, DifferentialProbeAttaches)
     WorkloadParams params;
     params.maxInstructions = 10000;
     SystemConfig cfg;
-    cfg.prefetcher = PrefetcherKind::Cbws;
+    cfg.scheme = "CBWS";
     FrequencyCounter probe;
     SimProbes probes;
     probes.differentials = &probe;
@@ -85,7 +92,7 @@ TEST(Simulate, DifferentialProbeAttaches)
     // The probe also attaches through the composite.
     FrequencyCounter probe2;
     probes.differentials = &probe2;
-    cfg.prefetcher = PrefetcherKind::CbwsSms;
+    cfg.scheme = "CBWS+SMS";
     simulateWorkload(*w, cfg, params, probes);
     EXPECT_GT(probe2.total(), 100u);
 }
@@ -104,6 +111,70 @@ TEST(Simulate, WarmupReducesColdMisses)
     EXPECT_LT(warm.mpki(), cold.mpki());
 }
 
+TEST(Simulate, EveryCbwsSchemeEmitsSnapshotGauges)
+{
+    // CBWS alone, fused with SMS, and bolted onto AMPM all expose the
+    // CBWS history table to snapshots and the differential probe.
+    auto w = findWorkload("sgemm-medium");
+    WorkloadParams params;
+    params.maxInstructions = 20000;
+    Trace t;
+    w->generate(t, params);
+    const std::string path =
+        testing::TempDir() + "cbws_snapshot_gauges.jsonl";
+    for (const char *scheme : {"CBWS", "CBWS+SMS", "CBWS+AMPM"}) {
+        FrequencyCounter differentials;
+        {
+            SnapshotWriter snapshot(path, 10000);
+            ASSERT_TRUE(snapshot.ok());
+            SystemConfig cfg;
+            cfg.scheme = scheme;
+            SimProbes probes;
+            probes.snapshot = &snapshot;
+            probes.differentials = &differentials;
+            simulate(t, cfg, params.maxInstructions, probes);
+        }
+        EXPECT_GT(differentials.total(), 0u) << scheme;
+        std::ifstream in(path);
+        std::string line;
+        unsigned records = 0;
+        while (std::getline(in, line)) {
+            if (line.find("\"type\":\"snapshot\"") == std::string::npos)
+                continue;
+            ++records;
+            for (const char *gauge :
+                 {"\"cbws_occupancy\":", "\"cbws_capacity\":",
+                  "\"cbws_table_hit_rate\":"}) {
+                EXPECT_NE(line.find(gauge), std::string::npos)
+                    << scheme << " lacks " << gauge;
+            }
+        }
+        EXPECT_GE(records, 1u) << scheme;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Simulate, TraceEndingBeforeWarmupKeepsWholeRun)
+{
+    // A lone core whose trace ends before its warm-up boundary never
+    // crosses it: the hierarchy is not reset and nothing is
+    // subtracted, so the result equals a run without warm-up.
+    auto w = findWorkload("radix-simlarge");
+    WorkloadParams params;
+    params.maxInstructions = 4000;
+    Trace t;
+    w->generate(t, params);
+    SystemConfig cfg;
+    cfg.scheme = "CBWS+SMS";
+    const std::uint64_t budget = 100000;
+    const SimResult early =
+        simulate(t, cfg, budget, SimProbes(), /*warmup_insts=*/50000);
+    const SimResult whole = simulate(t, cfg, budget);
+    EXPECT_EQ(early.core.instructions, t.size());
+    EXPECT_GT(early.mem.l1dAccesses, 0u);
+    EXPECT_EQ(toJson(early), toJson(whole));
+}
+
 TEST(Simulate, DeterministicAcrossRuns)
 {
     auto w = findWorkload("radix-simlarge");
@@ -112,7 +183,7 @@ TEST(Simulate, DeterministicAcrossRuns)
     Trace t;
     w->generate(t, params);
     SystemConfig cfg;
-    cfg.prefetcher = PrefetcherKind::CbwsSms;
+    cfg.scheme = "CBWS+SMS";
     SimResult a = simulate(t, cfg, params.maxInstructions);
     SimResult b = simulate(t, cfg, params.maxInstructions);
     EXPECT_EQ(a.core.cycles, b.core.cycles);
@@ -125,15 +196,13 @@ TEST(Experiment, MatrixShapeAndLookup)
     std::vector<WorkloadPtr> ws;
     ws.push_back(findWorkload("sgemm-medium"));
     ws.push_back(findWorkload("histo-large"));
-    const std::vector<PrefetcherKind> kinds = {
-        PrefetcherKind::None, PrefetcherKind::Sms,
-        PrefetcherKind::CbwsSms};
+    const std::vector<std::string> kinds = {"No-Prefetch", "SMS",
+                                            "CBWS+SMS"};
     SystemConfig cfg;
     auto matrix = runMatrix(ws, kinds, cfg, 12000);
     ASSERT_EQ(matrix.rows.size(), 2u);
     ASSERT_EQ(matrix.rows[0].byPrefetcher.size(), 3u);
-    EXPECT_EQ(matrix.result(0, PrefetcherKind::Sms).prefetcher,
-              "SMS");
+    EXPECT_EQ(matrix.result(0, "SMS").prefetcher, "SMS");
     EXPECT_EQ(matrix.rows[0].workload, "sgemm-medium");
     EXPECT_TRUE(matrix.rows[0].memoryIntensive);
 

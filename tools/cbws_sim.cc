@@ -487,7 +487,7 @@ main(int argc, char **argv)
     // Obtain the trace(s): load, or synthesise from workloads.
     Trace trace;
     std::string workload_name;
-    std::vector<std::string> core_names;    // multi-core only
+    std::vector<std::string> core_names;    // one per core
     std::vector<Trace> core_storage;        // one per distinct name
     std::vector<const Trace *> core_traces; // one per core
     if (num_cores > 1) {
@@ -592,6 +592,11 @@ main(int argc, char **argv)
             std::printf("saved %zu records to %s\n", trace.size(),
                         args.get("save-trace").c_str());
         }
+    }
+
+    if (num_cores == 1) {
+        core_traces.push_back(&trace);
+        core_names.push_back(workload_name);
     }
 
     // Select the schemes (string registry keys, case-insensitive).
@@ -701,14 +706,8 @@ main(int argc, char **argv)
         probes.trace = chrome.get();
         if (args.getFlag("metrics"))
             probes.schemeMetrics = &scheme_metrics;
-        SimResult r;
-        if (num_cores > 1) {
-            config.mem.numCores = num_cores;
-            r = simulateMulti(core_traces, core_names, config,
-                              insts, probes, warmup);
-        } else {
-            r = simulate(trace, config, insts, probes, warmup);
-        }
+        SimResult r = simulateMulti(core_traces, core_names, config,
+                                    insts, probes, warmup);
         r.workload = workload_name;
         if (stats_file.is_open())
             dumpStats(stats_file, r);
