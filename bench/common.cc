@@ -23,6 +23,8 @@ namespace
 unsigned g_jobs = 0; // 0 = let runMatrix resolve CBWS_JOBS
 TraceCache g_trace_cache = TraceCache::fromEnv();
 std::string g_checkpoint;      // empty = checkpointing off
+MatrixShard g_shard;           // --shard; {0, 1} = the whole matrix
+std::vector<std::string> g_merge; // --merge shard checkpoints
 std::string g_dram = "fixed";  // DRAM timing backend
 std::vector<std::string> g_pf_opts; // --pf-opt key=value overrides
 bool g_progress = false;       // live stderr progress line
@@ -49,10 +51,18 @@ writeProfileAtExit()
     }
 }
 
+/** Exit with a one-line usage error, as ArgParser does. */
+[[noreturn]] void
+usageError(const std::string &message)
+{
+    std::fprintf(stderr, "%s\n", message.c_str());
+    std::exit(1);
+}
+
 } // anonymous namespace
 
 void
-init(int argc, char **argv)
+init(int argc, char **argv, bool single_matrix)
 {
     ArgParser parser(argv && argc > 0 ? argv[0] : "bench",
                      "Figure-regenerating bench (CBWS reproduction)");
@@ -68,6 +78,13 @@ init(int argc, char **argv)
                      "crash-safe checkpoint file: finished matrix "
                      "cells are appended there and a restarted run "
                      "resumes instead of recomputing them");
+    parser.addOption("shard",
+                     "i/N: simulate only the cells c with c % N == i "
+                     "into --checkpoint, seal it and exit 0 without "
+                     "a report (merge the N shards with --merge)");
+    parser.addOption("merge",
+                     "comma-separated shard checkpoints: print the "
+                     "report from their cells without simulating");
     parser.addOption("dram",
                      "DRAM timing backend: 'fixed' (paper's flat "
                      "latency, default) or 'ddr' (cycle-level banked "
@@ -124,6 +141,37 @@ init(int argc, char **argv)
         // completed cells (SIGKILL-resume is the tested hard case).
         installMatrixSignalHandlers();
     }
+    const bool shard = parser.provided("shard");
+    const bool merge = parser.provided("merge");
+    if ((shard || merge) && !single_matrix)
+        usageError("--shard/--merge: this bench does not run exactly "
+                   "one matrix, so it cannot be split or merged");
+    if (shard) {
+        Result<MatrixShard> parsed = parseMatrixShard(parser.get("shard"));
+        if (!parsed.ok())
+            usageError("--shard: " + parsed.error().message);
+        if (g_checkpoint.empty())
+            usageError("--shard requires --checkpoint to hold the "
+                       "shard's cells");
+        g_shard = parsed.value();
+    }
+    if (merge) {
+        if (shard || !g_checkpoint.empty())
+            usageError("--merge cannot be combined with --shard or "
+                       "--checkpoint");
+        const std::string list = parser.get("merge");
+        std::size_t pos = 0;
+        while (pos <= list.size()) {
+            std::size_t comma = list.find(',', pos);
+            if (comma == std::string::npos)
+                comma = list.size();
+            if (comma == pos)
+                usageError("--merge: empty checkpoint path in '" +
+                           list + "'");
+            g_merge.push_back(list.substr(pos, comma - pos));
+            pos = comma + 1;
+        }
+    }
     if (parser.provided("dram")) {
         g_dram = parser.get("dram");
         if (!dramBackendRegistry().contains(g_dram)) {
@@ -153,6 +201,8 @@ matrixOptions()
     if (g_trace_cache.enabled())
         options.traceCache = &g_trace_cache;
     options.checkpointPath = g_checkpoint;
+    options.shard = g_shard;
+    options.mergePaths = g_merge;
     options.progress = g_progress;
     return options;
 }
@@ -161,6 +211,8 @@ void
 banner(const std::string &title, const std::string &paper_ref,
        std::uint64_t insts)
 {
+    if (g_shard.count > 1)
+        return; // a shard run prints nothing; its merge has the report
     std::printf("==============================================="
                 "=============================\n");
     std::printf("%s\n", title.c_str());

@@ -81,7 +81,7 @@ identicalResults(const ExperimentMatrix &a, const ExperimentMatrix &b)
 int
 main(int argc, char **argv)
 {
-    bench::init(argc, argv);
+    bench::init(argc, argv, /*single_matrix=*/false);
 
     const std::uint64_t insts = benchInstructionBudget(60000);
     bench::banner("Simulator throughput (wall-clock, full matrix)",

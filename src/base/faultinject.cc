@@ -50,8 +50,8 @@ toString(FaultSite site)
         return "snapshot-write";
       case FaultSite::CheckpointAppend:
         return "checkpoint-append";
-      case FaultSite::ServeWorkerKill:
-        return "serve-worker-kill";
+      case FaultSite::CellKill:
+        return "cell-kill";
       default:
         return "?";
     }

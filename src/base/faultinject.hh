@@ -50,7 +50,7 @@ enum class FaultSite : unsigned
     PoolJob,           ///< a thread-pool job throws
     SnapshotWrite,     ///< failure appending a stats snapshot record
     CheckpointAppend,  ///< failure appending a checkpoint record
-    ServeWorkerKill,   ///< serve worker SIGKILLs itself after a cell
+    CellKill,          ///< runMatrix SIGKILLs itself after a cell
     NumSites,
 };
 

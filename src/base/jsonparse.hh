@@ -8,11 +8,12 @@
  * doubles, booleans, null); unsigned integers are preserved exactly
  * so 64-bit counters round-trip bit-for-bit.
  *
- * Since the serving layer (src/serve) started feeding it bytes read
- * straight off a socket, the parser is bounded: nesting depth, string
- * length, number-token length and whole-document size are all capped
- * (JsonLimits), and exceeding a cap is a clean Errc::Corrupt — never
- * deep recursion or unbounded allocation on adversarial input.
+ * Checkpoint lines are read back from disk, where a torn write, bit
+ * rot or a hand-edited file can hold anything, so the parser is
+ * bounded: nesting depth, string length, number-token length and
+ * whole-document size are all capped (JsonLimits), and exceeding a cap
+ * is a clean Errc::Corrupt — never deep recursion or unbounded
+ * allocation on a damaged or hostile file.
  */
 
 #ifndef CBWS_BASE_JSONPARSE_HH
@@ -70,8 +71,8 @@ struct JsonValue
 /**
  * Resource bounds enforced while parsing. The defaults are generous
  * enough for every format the project writes itself (checkpoints,
- * snapshots, reports); surfaces that parse *untrusted* bytes — the
- * cbws-served wire protocol — pass deliberately tighter caps.
+ * snapshots, reports) while still bounding recursion and allocation;
+ * a caller that knows its documents are small can pass tighter caps.
  * A cap of 0 means unlimited.
  */
 struct JsonLimits

@@ -3,21 +3,12 @@
  * Retry-with-backoff for transient I/O failures. Checkpoint appends
  * and similar durability writes funnel through here so an injected
  * (or real) transient error is absorbed instead of aborting the run.
- *
- * The serving layer reuses the same policy for client reconnects and
- * worker respawns, where many peers backing off in lockstep is a
- * thundering herd: BackoffSchedule adds deterministic jitter derived
- * from an explicit seed (CBWS_FAULT_SEED by convention), so delays
- * are desynchronised between peers yet bit-reproducible per seed —
- * the property the chaos tests pin down.
  */
 
 #ifndef CBWS_BASE_RETRY_HH
 #define CBWS_BASE_RETRY_HH
 
 #include <chrono>
-#include <cstdint>
-#include <cstdlib>
 #include <thread>
 
 #include "base/result.hh"
@@ -48,91 +39,6 @@ retryWithBackoff(unsigned attempts, unsigned base_ms, Fn &&fn)
             return last;
     }
     return last;
-}
-
-/** The CBWS_FAULT_SEED environment value (default 1), the seed every
- *  deterministic failure-path schedule in the project derives from. */
-inline std::uint64_t
-faultSeedFromEnv()
-{
-    if (const char *env = std::getenv("CBWS_FAULT_SEED")) {
-        const unsigned long long v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
-    }
-    return 1;
-}
-
-/**
- * Exponential backoff with deterministic jitter: attempt n (0-based)
- * waits an "envelope" of min(base_ms << n, max_ms), of which the
- * upper half is jittered by a splitmix64 hash of (seed, n). Two peers
- * with different seeds spread out; the same seed replays the exact
- * delay sequence. base_ms of 0 yields all-zero delays (tests).
- */
-struct BackoffSchedule
-{
-    unsigned baseMs = 10;
-    unsigned maxMs = 5000;
-    std::uint64_t seed = 1;
-
-    /** Delay before retry attempt @p attempt (0-based), in ms. */
-    std::uint64_t
-    delayMs(unsigned attempt) const
-    {
-        if (baseMs == 0)
-            return 0;
-        std::uint64_t envelope = baseMs;
-        // Shift without overflow: cap as soon as we pass maxMs.
-        for (unsigned i = 0; i < attempt && envelope < maxMs; ++i)
-            envelope <<= 1;
-        if (envelope > maxMs)
-            envelope = maxMs;
-        // splitmix64 of (seed, attempt): cheap, well-mixed, and pure.
-        std::uint64_t z = seed + 0x9e3779b97f4a7c15ull *
-                                     (static_cast<std::uint64_t>(attempt) + 1);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        z ^= z >> 31;
-        const std::uint64_t half = envelope / 2;
-        return envelope - half + (half ? z % (half + 1) : 0);
-    }
-};
-
-/**
- * retryWithBackoff over a jittered BackoffSchedule. @p sleeper is the
- * injectable wait (tests record delays instead of sleeping); the
- * default really sleeps.
- */
-template <typename Fn, typename Sleeper>
-Result<void>
-retryWithBackoff(unsigned attempts, const BackoffSchedule &schedule,
-                 Fn &&fn, Sleeper &&sleeper)
-{
-    Result<void> last;
-    for (unsigned attempt = 0; attempt < attempts; ++attempt) {
-        if (attempt > 0) {
-            const std::uint64_t ms = schedule.delayMs(attempt - 1);
-            if (ms > 0)
-                sleeper(ms);
-        }
-        last = fn();
-        if (last.ok())
-            return last;
-    }
-    return last;
-}
-
-template <typename Fn>
-Result<void>
-retryWithBackoff(unsigned attempts, const BackoffSchedule &schedule,
-                 Fn &&fn)
-{
-    return retryWithBackoff(
-        attempts, schedule, std::forward<Fn>(fn),
-        [](std::uint64_t ms) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-        });
 }
 
 } // namespace cbws

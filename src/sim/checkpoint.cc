@@ -1,5 +1,6 @@
 #include "sim/checkpoint.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -450,10 +451,142 @@ checkpointFingerprint(const std::vector<std::string> &workloads,
     return hash;
 }
 
+Checkpoint::Header
+matrixCheckpointHeader(const std::vector<std::string> &workloads,
+                       const std::vector<std::string> &schemes,
+                       const SystemConfig &config, std::uint64_t insts,
+                       std::uint64_t seed)
+{
+    // The DRAM backend changes every completion cycle, the core count
+    // changes every counter, and pf-opts change the prefetchers
+    // themselves; the tag folds all three into the fingerprint.
+    std::string config_tag = config.mem.dramBackend;
+    if (config.mem.numCores > 1)
+        config_tag += "+cores" + std::to_string(config.mem.numCores);
+    if (!config.pfOpts.empty()) {
+        std::vector<std::string> opts = config.pfOpts;
+        std::sort(opts.begin(), opts.end());
+        config_tag += "+opt:";
+        for (const auto &opt : opts)
+            config_tag += opt + ",";
+    }
+    Checkpoint::Header header;
+    header.insts = insts;
+    header.seed = seed;
+    header.fingerprint =
+        checkpointFingerprint(workloads, schemes, config_tag);
+    return header;
+}
+
+Result<std::vector<SimResult>>
+mergeCheckpoints(const std::vector<std::string> &paths,
+                 const Checkpoint::Header &header,
+                 const std::vector<std::string> &workloads,
+                 const std::vector<std::string> &schemes)
+{
+    std::vector<Checkpoint> shards(paths.size());
+    for (std::size_t s = 0; s < paths.size(); ++s) {
+        Result<void> loaded = shards[s].load(paths[s], header);
+        if (!loaded.ok())
+            return loaded.error();
+    }
+    // Cells are looked up by name, not by shard index, so the merge
+    // does not care how the cells were split or in what order the
+    // shard files are listed.
+    std::vector<SimResult> cells;
+    cells.reserve(workloads.size() * schemes.size());
+    for (const auto &workload : workloads) {
+        for (const auto &scheme : schemes) {
+            const SimResult *found = nullptr;
+            for (const auto &shard : shards)
+                if ((found = shard.find(workload, scheme)))
+                    break;
+            if (!found)
+                return Error(Errc::Corrupt,
+                             "cell (" + workload + ", " + scheme +
+                                 ") is in none of the " +
+                                 std::to_string(paths.size()) +
+                                 " merged checkpoint(s); finish its "
+                                 "shard first");
+            cells.push_back(*found);
+        }
+    }
+    return cells;
+}
+
 Checkpoint::~Checkpoint()
 {
     if (file_)
         std::fclose(file_);
+}
+
+Result<void>
+Checkpoint::readCells(const std::string &path, const Header &header,
+                      bool &existing)
+{
+    const std::string expected_header = headerLine(header);
+    existing = false;
+    std::ifstream in(path);
+    std::string line;
+    std::size_t lineno = 0;
+    bool header_seen = false;
+    while (in && std::getline(in, line)) {
+        ++lineno;
+        if (line.empty())
+            continue;
+        existing = true;
+        if (!header_seen) {
+            // First line must be the matching header. Parse it for a
+            // precise diagnostic before the exact compare.
+            std::string object_text;
+            if (!verifySeal(line, object_text))
+                return Error(Errc::Corrupt,
+                             path + ": checkpoint header "
+                                    "checksum mismatch");
+            Result<JsonValue> parsed = parseJson(object_text);
+            if (!parsed.ok())
+                return Error(Errc::Corrupt,
+                             path + ": " + parsed.error().message);
+            const JsonValue &v = parsed.value();
+            if (v.strOr("format", "") != "cbws-checkpoint")
+                return Error(Errc::Corrupt,
+                             path + ": not a cbws-checkpoint file");
+            const std::uint64_t ver = v.uintOr("schema_version", 0);
+            if (ver != CheckpointSchemaVersion)
+                return Error(
+                    Errc::VersionMismatch,
+                    path + ": checkpoint schema_version " +
+                        std::to_string(ver) + " (this build " +
+                        "reads version " +
+                        std::to_string(CheckpointSchemaVersion) + ")");
+            if (line != expected_header)
+                return Error(
+                    Errc::InvalidArgument,
+                    path + ": checkpoint belongs to a different "
+                           "experiment (budget, seed, workloads, "
+                           "schemes, DRAM backend, core count or "
+                           "pf-opts differ); delete it or pass a "
+                           "fresh --checkpoint path");
+            header_seen = true;
+            continue;
+        }
+        // Informational build stamp, not resume state.
+        if (line.find("\"type\":\"provenance\"") != std::string::npos)
+            continue;
+        Result<SimResult> cell = parseCheckpointCell(line);
+        if (!cell.ok()) {
+            // Torn tail from a crash mid-append, or bit rot: drop the
+            // line, keep the rest. The cell is simply re-simulated.
+            warn("%s:%zu: dropping unreadable checkpoint line (%s)",
+                 path.c_str(), lineno, cell.error().str().c_str());
+            continue;
+        }
+        SimResult r = std::move(cell).value();
+        CellKey key{r.workload, r.prefetcher};
+        cells_.emplace(std::move(key), std::move(r));
+    }
+    resumed_ = cells_.size();
+    return Result<void>();
 }
 
 Result<void>
@@ -463,80 +596,11 @@ Checkpoint::open(const std::string &path, const Header &header)
     std::lock_guard<std::mutex> lock(mutex_);
     panic_if(file_, "Checkpoint::open() called twice");
 
-    const std::string expected_header = headerLine(header);
-
     // Load a previous run's lines, if any.
     bool existing = false;
-    {
-        std::ifstream in(path);
-        std::string line;
-        std::size_t lineno = 0;
-        bool header_seen = false;
-        while (in && std::getline(in, line)) {
-            ++lineno;
-            if (line.empty())
-                continue;
-            existing = true;
-            if (!header_seen) {
-                // First line must be the matching header. Parse it
-                // for a precise diagnostic before the exact compare.
-                std::string object_text;
-                if (!verifySeal(line, object_text))
-                    return Error(Errc::Corrupt,
-                                 path + ": checkpoint header "
-                                        "checksum mismatch");
-                Result<JsonValue> parsed = parseJson(object_text);
-                if (!parsed.ok())
-                    return Error(Errc::Corrupt,
-                                 path + ": " +
-                                     parsed.error().message);
-                const JsonValue &v = parsed.value();
-                if (v.strOr("format", "") != "cbws-checkpoint")
-                    return Error(Errc::Corrupt,
-                                 path + ": not a cbws-checkpoint "
-                                        "file");
-                const std::uint64_t ver =
-                    v.uintOr("schema_version", 0);
-                if (ver != CheckpointSchemaVersion)
-                    return Error(
-                        Errc::VersionMismatch,
-                        path + ": checkpoint schema_version " +
-                            std::to_string(ver) + " (this build " +
-                            "reads version " +
-                            std::to_string(CheckpointSchemaVersion) +
-                            ")");
-                if (line != expected_header)
-                    return Error(
-                        Errc::InvalidArgument,
-                        path + ": checkpoint belongs to a different "
-                               "experiment (budget, seed, workload "
-                               "or scheme set differ); delete it or "
-                               "pass a fresh --checkpoint path");
-                header_seen = true;
-                continue;
-            }
-            // Informational build stamp, not resume state.
-            if (line.find("\"type\":\"provenance\"") !=
-                std::string::npos) {
-                continue;
-            }
-            Result<SimResult> cell = parseCheckpointCell(line);
-            if (!cell.ok()) {
-                // Torn tail from a crash mid-append, or bit rot:
-                // drop the line, keep the rest. The cell is simply
-                // re-simulated.
-                warn("%s:%zu: dropping unreadable checkpoint line "
-                     "(%s)",
-                     path.c_str(), lineno,
-                     cell.error().str().c_str());
-                continue;
-            }
-            SimResult r = std::move(cell).value();
-            CellKey key{r.workload, r.prefetcher};
-            cells_.emplace(std::move(key), std::move(r));
-        }
-    }
-    resumed_ = cells_.size();
+    Result<void> read = readCells(path, header, existing);
+    if (!read.ok())
+        return read;
 
     file_ = std::fopen(path.c_str(), existing ? "ab" : "wb");
     if (!file_)
@@ -548,7 +612,7 @@ Checkpoint::open(const std::string &path, const Header &header)
         // provenance through append() would advance fault-injection
         // site counts and shift deterministic injection schedules.
         const std::string line =
-            expected_header + "\n" + provenanceLine() + "\n";
+            headerLine(header) + "\n" + provenanceLine() + "\n";
         if (std::fwrite(line.data(), 1, line.size(), file_) !=
                 line.size() ||
             std::fflush(file_) != 0) {
@@ -559,6 +623,24 @@ Checkpoint::open(const std::string &path, const Header &header)
                              std::strerror(errno));
         }
     }
+    return Result<void>();
+}
+
+Result<void>
+Checkpoint::load(const std::string &path, const Header &header)
+{
+    PROF_SCOPE(prof::Phase::CheckpointIO);
+    std::lock_guard<std::mutex> lock(mutex_);
+    panic_if(file_, "Checkpoint::load() on an open checkpoint");
+    if (!std::ifstream(path))
+        return Error(Errc::NotFound, path + ": no such checkpoint");
+    bool existing = false;
+    Result<void> read = readCells(path, header, existing);
+    if (!read.ok())
+        return read;
+    if (!existing)
+        return Error(Errc::Corrupt,
+                     path + ": empty checkpoint (no header)");
     return Result<void>();
 }
 

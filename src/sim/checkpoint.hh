@@ -20,6 +20,9 @@
  *    against a checkpoint from a different experiment or an
  *    incompatible schema_version fails with a clear error instead of
  *    silently mixing results.
+ *  - A matrix split across processes (MatrixOptions::shard) leaves one
+ *    ordinary checkpoint per shard; mergeCheckpoints() reads them back
+ *    into the whole matrix, byte-identical to a serial run.
  *
  * Format details are documented in docs/FORMATS.md.
  */
@@ -32,6 +35,7 @@
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "base/result.hh"
 #include "sim/simulator.hh"
@@ -87,6 +91,14 @@ class Checkpoint
      */
     Result<void> open(const std::string &path, const Header &header);
 
+    /**
+     * Read @p path for @p header's experiment without opening it for
+     * appends: the same header check and cell loading as open(), but
+     * a missing file is NotFound and nothing is ever created or
+     * written. append() on a loaded checkpoint fails.
+     */
+    Result<void> load(const std::string &path, const Header &header);
+
     /** Result recorded for (workload, prefetcher), else nullptr. */
     const SimResult *find(const std::string &workload,
                           const std::string &prefetcher) const;
@@ -118,6 +130,11 @@ class Checkpoint
   private:
     using CellKey = std::pair<std::string, std::string>;
 
+    /** Check @p path's header against @p header and load its intact
+     *  cells; @p existing reports whether the file held any line. */
+    Result<void> readCells(const std::string &path, const Header &header,
+                           bool &existing);
+
     mutable std::mutex mutex_;
     std::FILE *file_ = nullptr;
     std::map<CellKey, SimResult> cells_;
@@ -133,6 +150,33 @@ std::uint64_t
 checkpointFingerprint(const std::vector<std::string> &workloads,
                       const std::vector<std::string> &prefetchers,
                       const std::string &config_tag = std::string());
+
+/**
+ * The header binding a runMatrix checkpoint to its experiment: the
+ * budget, the seed, and a fingerprint over the workload and scheme
+ * names plus every @p config knob that changes a cell's counters —
+ * the DRAM backend, the core count and the pf-opts. Resume, shard and
+ * merge all build their header here, so differently configured runs
+ * can never cross-resume or cross-merge.
+ */
+Checkpoint::Header
+matrixCheckpointHeader(const std::vector<std::string> &workloads,
+                       const std::vector<std::string> &schemes,
+                       const SystemConfig &config, std::uint64_t insts,
+                       std::uint64_t seed);
+
+/**
+ * Rebuild a matrix from the checkpoints in @p paths (the shards of one
+ * split run, in any order), each loaded read-only under @p header.
+ * Returns the workloads x schemes cells row-major. A missing file is
+ * NotFound, a checkpoint of another experiment is rejected as by
+ * open(), and a cell found in none of them is an error naming it.
+ */
+Result<std::vector<SimResult>>
+mergeCheckpoints(const std::vector<std::string> &paths,
+                 const Checkpoint::Header &header,
+                 const std::vector<std::string> &workloads,
+                 const std::vector<std::string> &schemes);
 
 } // namespace cbws
 

@@ -1,6 +1,5 @@
 #include "sim/experiment.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
@@ -182,34 +181,52 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
 
     const std::size_t num_workloads = workloads.size();
     const std::size_t num_kinds = schemes.size();
+    const std::size_t num_cells = num_workloads * num_kinds;
+
+    const MatrixShard shard = options.shard;
+    const bool sharded = shard.count > 1;
+    if (shard.count == 0 || shard.index >= shard.count)
+        fatal("runMatrix: shard %u/%u does not exist", shard.index,
+              shard.count);
+    if (sharded && options.checkpointPath.empty())
+        fatal("runMatrix: a shard run needs a checkpoint to hold its "
+              "cells (--shard requires --checkpoint)");
+    if (!options.mergePaths.empty() &&
+        (sharded || !options.checkpointPath.empty()))
+        fatal("runMatrix: --merge reads finished shards; it cannot be "
+              "combined with --shard or --checkpoint");
+
+    std::vector<std::string> workload_names;
+    matrix.rows.resize(num_workloads);
+    for (std::size_t w = 0; w < num_workloads; ++w) {
+        workload_names.push_back(workloads[w]->name());
+        matrix.rows[w].workload = workloads[w]->name();
+        matrix.rows[w].memoryIntensive =
+            workloads[w]->memoryIntensive();
+        matrix.rows[w].byPrefetcher.resize(num_kinds);
+    }
+    const Checkpoint::Header header = matrixCheckpointHeader(
+        workload_names, schemes, base_config, max_insts, seed);
+
+    // Merge mode: every cell comes from the shard checkpoints, so
+    // nothing is synthesised or simulated.
+    if (!options.mergePaths.empty()) {
+        Result<std::vector<SimResult>> merged = mergeCheckpoints(
+            options.mergePaths, header, workload_names, schemes);
+        if (!merged.ok())
+            fatal("runMatrix: merge: %s",
+                  merged.error().str().c_str());
+        std::vector<SimResult> cells = std::move(merged).value();
+        for (std::size_t i = 0; i < num_cells; ++i)
+            matrix.rows[i / num_kinds].byPrefetcher[i % num_kinds] =
+                std::move(cells[i]);
+        return matrix;
+    }
 
     // Crash-safe resume: cells already recorded in the checkpoint are
     // loaded instead of re-simulated.
     Checkpoint checkpoint;
     if (!options.checkpointPath.empty()) {
-        std::vector<std::string> workload_names;
-        for (const auto &w : workloads)
-            workload_names.push_back(w->name());
-        Checkpoint::Header header;
-        header.insts = max_insts;
-        header.seed = seed;
-        // The DRAM backend changes every completion cycle, the core
-        // count changes every counter, and pf-opts change the
-        // prefetchers themselves, so checkpoints from differently
-        // configured runs must never cross-resume.
-        std::string config_tag = base_config.mem.dramBackend;
-        if (base_config.mem.numCores > 1)
-            config_tag += "+cores" +
-                          std::to_string(base_config.mem.numCores);
-        if (!base_config.pfOpts.empty()) {
-            std::vector<std::string> opts = base_config.pfOpts;
-            std::sort(opts.begin(), opts.end());
-            config_tag += "+opt:";
-            for (const auto &opt : opts)
-                config_tag += opt + ",";
-        }
-        header.fingerprint = checkpointFingerprint(
-            workload_names, schemes, config_tag);
         Result<void> opened =
             checkpoint.open(options.checkpointPath, header);
         // A bad checkpoint is a user error (wrong path or stale
@@ -222,12 +239,31 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
         if (checkpoint.resumedCells())
             warn("runMatrix: resuming, %zu of %zu cells restored "
                  "from %s",
-                 checkpoint.resumedCells(),
-                 num_workloads * num_kinds,
+                 checkpoint.resumedCells(), num_cells,
                  options.checkpointPath.c_str());
     }
 
-    // Phase 1: synthesise (or load from the trace cache) every
+    // The cells this run must simulate: its shard's share, minus the
+    // ones the checkpoint already holds. Only their rows need a trace.
+    auto owned = [&](std::size_t i) {
+        return i % shard.count == shard.index;
+    };
+    std::vector<char> needs_trace(num_workloads, 0);
+    std::size_t owned_cells = 0;
+    std::size_t traces_needed = 0;
+    for (std::size_t i = 0; i < num_cells; ++i) {
+        if (!owned(i))
+            continue;
+        ++owned_cells;
+        const std::size_t w = i / num_kinds;
+        if (!needs_trace[w] &&
+            !checkpoint.find(workload_names[w], schemes[i % num_kinds])) {
+            needs_trace[w] = 1;
+            ++traces_needed;
+        }
+    }
+
+    // Phase 1: synthesise (or load from the trace cache) every needed
     // workload's trace, one cell per workload. Each trace is written
     // exactly once and only read afterwards, so the simulation phase
     // shares them without copies or locks. The SoA pre-decode is
@@ -239,14 +275,18 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
     std::vector<Trace> traces(num_workloads);
     std::vector<char> trace_done(num_workloads, 0);
     {
-        ProgressMeter meter("trace synthesis", num_workloads,
+        ProgressMeter meter("trace synthesis", traces_needed,
                             progress);
         runCells(jobs, num_workloads, trace_done, "trace synthesis",
                  [&](std::size_t w) {
+            if (!needs_trace[w]) {
+                trace_done[w] = 1;
+                return;
+            }
             if (matrixInterruptRequested())
                 return; // draining: skip, phase 2 is skipped too
             Trace &trace = traces[w];
-            const TraceCache::Key key{workloads[w]->name(), max_insts,
+            const TraceCache::Key key{workload_names[w], max_insts,
                                       seed};
             if (options.traceCache &&
                 options.traceCache->load(key, trace).ok()) {
@@ -270,25 +310,20 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
         });
     }
 
-    matrix.rows.resize(num_workloads);
-    for (std::size_t w = 0; w < num_workloads; ++w) {
-        matrix.rows[w].workload = workloads[w]->name();
-        matrix.rows[w].memoryIntensive =
-            workloads[w]->memoryIntensive();
-        matrix.rows[w].byPrefetcher.resize(num_kinds);
-    }
-
     // Phase 2: the workloads x kinds cells, each an independent
     // simulated system replaying a shared read-only trace into its
     // preassigned result slot. A quarter of the budget warms caches
     // and predictors (the paper fast-forwards past initialisation
     // instead).
     const std::uint64_t warmup = max_insts / 4;
-    std::vector<char> cell_done(num_workloads * num_kinds, 0);
-    ProgressMeter meter("simulation", num_workloads * num_kinds,
-                        progress);
-    runCells(jobs, num_workloads * num_kinds, cell_done,
-             "simulation", [&](std::size_t i) {
+    std::vector<char> cell_done(num_cells, 0);
+    ProgressMeter meter("simulation", owned_cells, progress);
+    runCells(jobs, num_cells, cell_done, "simulation",
+             [&](std::size_t i) {
+        if (!owned(i)) {
+            cell_done[i] = 1; // another shard's cell
+            return;
+        }
         // Graceful interrupt: launch nothing new; in-flight cells
         // finish (and checkpoint) normally, then the drain below
         // seals the file.
@@ -324,6 +359,15 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
                      "(%s); continuing without it",
                      res.workload.c_str(), res.prefetcher.c_str(),
                      appended.error().str().c_str());
+            // Chaos hook: under CBWS_FAULT=cell-kill@n the process
+            // SIGKILLs itself right after its n-th simulated cell is
+            // durable — the deterministic stand-in for the kill -9
+            // that resume must survive.
+            if (FaultInjector::instance().shouldFire(
+                    FaultSite::CellKill)) {
+                checkpoint.sync();
+                ::raise(SIGKILL);
+            }
         }
         meter.addInstructions(res.core.instructions);
         matrix.rows[w].byPrefetcher[k] = std::move(res);
@@ -332,9 +376,9 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
     });
     meter.finish();
     // Seal: every appended cell is already flushed line-by-line, the
-    // final fsync makes the tail durable against power loss too. On
-    // interrupt this is what guarantees a resumed run never loses a
-    // completed cell.
+    // final fsync makes the tail durable against power loss too. This
+    // is what guarantees an interrupted run or a finished shard never
+    // loses a completed cell, so both leave the process only here.
     if (checkpoint.isOpen()) {
         Result<void> sealed = checkpoint.sync();
         if (!sealed.ok())
@@ -342,20 +386,51 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
                  sealed.error().str().c_str());
     }
     if (matrixInterruptRequested()) {
-        matrix.interrupted = true;
         if (checkpoint.isOpen())
             warn("runMatrix: interrupted; %zu of %zu cells sealed in "
                  "%s; rerun with the same checkpoint to resume",
-                 checkpoint.cellCount(), num_workloads * num_kinds,
+                 checkpoint.cellCount(), num_cells,
                  options.checkpointPath.c_str());
         else
             warn("runMatrix: interrupted with no checkpoint; "
                  "completed cells are lost");
-        if (options.onInterrupt ==
-            MatrixOptions::OnInterrupt::ExitProcess)
-            std::exit(130);
+        std::exit(130);
+    }
+    if (sharded) {
+        warn("runMatrix: shard %u/%u complete, %zu cells sealed in %s; "
+             "--merge the shard checkpoints for the report",
+             shard.index, shard.count, owned_cells,
+             options.checkpointPath.c_str());
+        std::exit(0);
     }
     return matrix;
+}
+
+Result<MatrixShard>
+parseMatrixShard(const std::string &text)
+{
+    const std::size_t slash = text.find('/');
+    auto number = [](const std::string &digits, unsigned &out) {
+        // Digits only: no sign, no blanks, at most 9 of them, so the
+        // value always fits an unsigned.
+        if (digits.empty() || digits.size() > 9)
+            return false;
+        for (char c : digits)
+            if (c < '0' || c > '9')
+                return false;
+        out = static_cast<unsigned>(std::stoul(digits));
+        return true;
+    };
+    MatrixShard shard;
+    if (slash == std::string::npos ||
+        !number(text.substr(0, slash), shard.index) ||
+        !number(text.substr(slash + 1), shard.count))
+        return Error(Errc::InvalidArgument,
+                     "shard '" + text + "' is not i/N");
+    if (shard.count == 0 || shard.index >= shard.count)
+        return Error(Errc::InvalidArgument,
+                     "shard '" + text + "' needs 0 <= i < N");
+    return shard;
 }
 
 std::uint64_t

@@ -16,8 +16,10 @@
 #define CBWS_SIM_EXPERIMENT_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "base/result.hh"
 #include "sim/simulator.hh"
 #include "trace/tracecache.hh"
 #include "workloads/workload.hh"
@@ -39,14 +41,6 @@ struct ExperimentMatrix
     /** Registry scheme names, in column order. */
     std::vector<std::string> schemes;
     std::vector<WorkloadRow> rows;
-
-    /**
-     * True when runMatrix stopped early on a graceful interrupt
-     * (MatrixOptions::onInterrupt == ReturnPartial): the completed
-     * cells are sealed in the checkpoint, the rest of the rows hold
-     * default-constructed results and must not be consumed.
-     */
-    bool interrupted = false;
 
     /** Column of @p scheme (case-insensitive); panics when absent. */
     std::size_t column(const std::string &scheme) const;
@@ -70,6 +64,18 @@ struct ExperimentMatrix
         return n ? sum / static_cast<double>(n) : 0.0;
     }
 };
+
+/** One process's share of a matrix split across processes: cell c
+ *  (row-major) belongs to shard c % count. */
+struct MatrixShard
+{
+    unsigned index = 0;
+    unsigned count = 1;
+};
+
+/** Parse "i/N" with 0 <= i < N (the --shard syntax); InvalidArgument
+ *  on anything else. */
+Result<MatrixShard> parseMatrixShard(const std::string &text);
 
 /** Execution knobs of runMatrix (parallelism, trace reuse). */
 struct MatrixOptions
@@ -102,32 +108,31 @@ struct MatrixOptions
      */
     bool progress = false;
 
-    /** What runMatrix does after sealing the checkpoint on a
-     *  graceful interrupt (see installMatrixSignalHandlers). */
-    enum class OnInterrupt
-    {
-        /**
-         * Exit the process with status 130 once the in-flight cells
-         * have finished and the checkpoint is sealed. The right
-         * behaviour for CLI surfaces: an interrupted bench must not
-         * print a half-empty figure and exit 0.
-         */
-        ExitProcess,
-        /**
-         * Return the partial matrix with `interrupted` set; the
-         * caller owns the consequences. Used by the serve worker
-         * (which reports its own exit status) and by tests.
-         */
-        ReturnPartial,
-    };
-    OnInterrupt onInterrupt = OnInterrupt::ExitProcess;
+    /**
+     * Simulate only this shard's cells. Above one shard runMatrix
+     * requires a checkpointPath: it resumes and fills that shard's
+     * checkpoint, seals it and exits the process with status 0
+     * without returning — a partial matrix is never handed to a
+     * report. {0, 1}, the default, is the whole matrix.
+     */
+    MatrixShard shard;
+
+    /**
+     * When non-empty, build the matrix from these shard checkpoints
+     * instead of simulating (see mergeCheckpoints): no trace is
+     * synthesised and no cell re-simulated. A checkpoint of a
+     * different experiment, or a cell found in none of them, is a
+     * fatal error. Excludes shard and checkpointPath.
+     */
+    std::vector<std::string> mergePaths;
 };
 
 /**
  * Install SIGINT/SIGTERM handlers that request a graceful matrix
  * interrupt: the running runMatrix stops launching new cells,
  * finishes (and checkpoints) the in-flight ones, seals the checkpoint
- * file, and then exits per MatrixOptions::onInterrupt. Without a
+ * file, and then exits the process with status 130 — an interrupted
+ * bench must not print a half-empty figure and exit 0. Without a
  * checkpoint the signals still stop the matrix early — there is just
  * nothing to seal. Idempotent; a second signal falls back to the
  * default disposition (immediate kill) so a wedged run can always be
@@ -142,7 +147,7 @@ void requestMatrixInterrupt();
 /** True once an interrupt has been requested and not cleared. */
 bool matrixInterruptRequested();
 
-/** Re-arm for another matrix (tests, the serve worker respawn path). */
+/** Re-arm for another matrix (tests). */
 void clearMatrixInterrupt();
 
 /**

@@ -2,23 +2,24 @@
  * @file
  * Graceful SIGINT/SIGTERM handling in runMatrix: the interrupt flag
  * must stop new cells at the boundary, the in-flight checkpoint must
- * be sealed (never torn), and a resumed run must be byte-identical to
- * an uninterrupted one. The handler itself is exercised with a real
- * raise() through the sigaction seam.
+ * be sealed (never torn) before the process exits 130, and a resumed
+ * run must be byte-identical to an uninterrupted one. The handler
+ * itself is exercised with a real raise() through the sigaction seam;
+ * the exiting runs execute in death-test children.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <sys/stat.h>
+#include <fstream>
 #include <string>
 #include <vector>
 
-#include "serve/worker.hh"
 #include "sim/checkpoint.hh"
 #include "sim/experiment.hh"
-#include "sim/report.hh"
+#include "test_util.hh"
 #include "workloads/registry.hh"
 
 namespace cbws
@@ -39,15 +40,46 @@ const std::vector<std::string> kSchemes = {"No-Prefetch", "Stride"};
 constexpr std::uint64_t kInsts = 20000;
 constexpr std::uint64_t kSeed = 42;
 
+ExperimentMatrix
+run(const MatrixOptions &options)
+{
+    return runMatrix(testWorkloads(), kSchemes, SystemConfig(), kInsts,
+                     kSeed, options);
+}
+
+MatrixOptions
+withCheckpoint(const std::string &path)
+{
+    MatrixOptions options;
+    options.jobs = 1;
+    options.checkpointPath = path;
+    return options;
+}
+
 std::string
 cleanRunJson()
 {
     MatrixOptions options;
     options.jobs = 1;
-    ExperimentMatrix matrix =
-        runMatrix(testWorkloads(), kSchemes, SystemConfig(), kInsts,
-                  kSeed, options);
-    return toJson(serve::flattenMatrix(matrix));
+    return test::matrixJson(run(options));
+}
+
+Checkpoint::Header
+testHeader()
+{
+    return matrixCheckpointHeader({"nw", "fft-simlarge"}, kSchemes,
+                                  SystemConfig(), kInsts, kSeed);
+}
+
+std::vector<std::string>
+readLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
 }
 
 class InterruptTest : public ::testing::Test
@@ -76,20 +108,33 @@ TEST_F(InterruptTest, SignalHandlerSetsTheFlag)
     EXPECT_TRUE(matrixInterruptRequested());
 }
 
-TEST_F(InterruptTest, ReturnPartialStopsAtTheBoundary)
+TEST_F(InterruptTest, InterruptExits130AtTheBoundary)
 {
-    requestMatrixInterrupt();
+    const std::string path =
+        testing::TempDir() + "cbws_interrupt_boundary.ckpt";
+    std::remove(path.c_str());
+    EXPECT_EXIT(
+        {
+            requestMatrixInterrupt();
+            run(withCheckpoint(path));
+        },
+        testing::ExitedWithCode(130), "interrupted");
+    // The flag was up before the first cell: nothing was simulated,
+    // but the checkpoint exists, sealed and resumable.
+    Checkpoint sealed;
+    ASSERT_TRUE(sealed.load(path, testHeader()).ok());
+    EXPECT_EQ(sealed.resumedCells(), 0u);
+
+    // Without a checkpoint the exit status is the same.
     MatrixOptions options;
     options.jobs = 1;
-    options.onInterrupt = MatrixOptions::OnInterrupt::ReturnPartial;
-    ExperimentMatrix matrix =
-        runMatrix(testWorkloads(), kSchemes, SystemConfig(), kInsts,
-                  kSeed, options);
-    EXPECT_TRUE(matrix.interrupted);
-    // Nothing was simulated: every slot is default-constructed.
-    for (const auto &row : matrix.rows)
-        for (const auto &res : row.byPrefetcher)
-            EXPECT_EQ(res.core.instructions, 0u);
+    EXPECT_EXIT(
+        {
+            requestMatrixInterrupt();
+            run(options);
+        },
+        testing::ExitedWithCode(130), "no checkpoint");
+    std::remove(path.c_str());
 }
 
 TEST_F(InterruptTest, InterruptSealsAndResumeIsByteIdentical)
@@ -102,68 +147,44 @@ TEST_F(InterruptTest, InterruptSealsAndResumeIsByteIdentical)
     // immediately — but the checkpoint must still be opened, sealed
     // and left resumable (this is the SIGINT-mid-run seam with the
     // race pinned to "before any cell").
-    {
-        requestMatrixInterrupt();
-        MatrixOptions options;
-        options.jobs = 1;
-        options.checkpointPath = path;
-        options.onInterrupt =
-            MatrixOptions::OnInterrupt::ReturnPartial;
-        ExperimentMatrix partial =
-            runMatrix(testWorkloads(), kSchemes, SystemConfig(),
-                      kInsts, kSeed, options);
-        EXPECT_TRUE(partial.interrupted);
-    }
+    EXPECT_EXIT(
+        {
+            requestMatrixInterrupt();
+            run(withCheckpoint(path));
+        },
+        testing::ExitedWithCode(130), "");
 
-    clearMatrixInterrupt();
-    MatrixOptions options;
-    options.jobs = 1;
-    options.checkpointPath = path;
-    ExperimentMatrix resumed =
-        runMatrix(testWorkloads(), kSchemes, SystemConfig(), kInsts,
-                  kSeed, options);
-    EXPECT_FALSE(resumed.interrupted);
-    EXPECT_EQ(toJson(serve::flattenMatrix(resumed)), cleanRunJson());
+    const ExperimentMatrix resumed = run(withCheckpoint(path));
+    EXPECT_EQ(test::matrixJson(resumed), cleanRunJson());
     std::remove(path.c_str());
 }
 
 TEST_F(InterruptTest, PartialCellsSurviveAndAreNotResimulated)
 {
-    // Manufacture a genuinely partial checkpoint through the serve
-    // worker (shard 0 of 2 = half the cells), then point runMatrix at
+    // Manufacture a genuinely partial checkpoint with a shard run
+    // (shard 0 of 2 = half the cells), then point an ordinary run at
     // it: the recorded cells must be restored, the rest simulated,
-    // and the result byte-identical to a clean run — the cross-layer
-    // guarantee the whole serving design leans on.
-    serve::JobSpec spec;
-    spec.workloads = {"nw", "fft-simlarge"};
-    spec.schemes = kSchemes;
-    spec.insts = kInsts;
-    spec.seed = kSeed;
-
-    // The daemon creates the job dir before forking workers; mirror
-    // that here.
-    const std::string job_dir =
-        testing::TempDir() + "cbws_interrupt_shard";
-    ::mkdir(job_dir.c_str(), 0755);
-    const std::string path = serve::shardCheckpointPath(job_dir, 0);
+    // and the result byte-identical to a clean run.
+    const std::string path =
+        testing::TempDir() + "cbws_interrupt_shard.ckpt";
     std::remove(path.c_str());
-    ASSERT_EQ(serve::runWorkerShard(spec, job_dir, 0, 2, -1), 0);
-
+    MatrixOptions shard = withCheckpoint(path);
+    shard.shard = {0, 2};
+    EXPECT_EXIT(run(shard), testing::ExitedWithCode(0), "");
     {
         Checkpoint ckpt;
-        ASSERT_TRUE(
-            ckpt.open(path, serve::shardHeader(spec)).ok());
+        ASSERT_TRUE(ckpt.load(path, testHeader()).ok());
         EXPECT_EQ(ckpt.resumedCells(), 2u); // half of 2x2
     }
+    const std::vector<std::string> partial = readLines(path);
 
-    clearMatrixInterrupt();
-    MatrixOptions options;
-    options.jobs = 1;
-    options.checkpointPath = path;
-    ExperimentMatrix resumed =
-        runMatrix(testWorkloads(), kSchemes, SystemConfig(), kInsts,
-                  kSeed, options);
-    EXPECT_EQ(toJson(serve::flattenMatrix(resumed)), cleanRunJson());
+    const ExperimentMatrix resumed = run(withCheckpoint(path));
+    EXPECT_EQ(test::matrixJson(resumed), cleanRunJson());
+    // The restored cells stay as written; only the other half is
+    // appended after them.
+    const std::vector<std::string> full = readLines(path);
+    ASSERT_EQ(full.size(), partial.size() + 2);
+    EXPECT_TRUE(std::equal(partial.begin(), partial.end(), full.begin()));
     std::remove(path.c_str());
 }
 

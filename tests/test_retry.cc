@@ -1,17 +1,13 @@
 /**
  * @file
- * Backoff determinism: the jittered BackoffSchedule must replay the
- * exact delay sequence for a given seed (CBWS_FAULT_SEED convention),
- * spread different seeds apart, respect the envelope cap, and drive
- * retryWithBackoff through its injectable sleeper without a single
- * real sleep — the property the serve-layer chaos runs rely on to be
- * reproducible.
+ * retryWithBackoff, the transient-failure absorber under checkpoint
+ * appends: it must stop at the first success and, once the attempts
+ * are exhausted, hand back the last error rather than the first.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <vector>
+#include <string>
 
 #include "base/retry.hh"
 
@@ -20,125 +16,28 @@ namespace cbws
 namespace
 {
 
-TEST(BackoffSchedule, SameSeedReplaysExactDelays)
-{
-    BackoffSchedule a;
-    a.baseMs = 10;
-    a.maxMs = 5000;
-    a.seed = 42;
-    BackoffSchedule b = a;
-    for (unsigned attempt = 0; attempt < 32; ++attempt)
-        EXPECT_EQ(a.delayMs(attempt), b.delayMs(attempt))
-            << "attempt " << attempt;
-}
-
-TEST(BackoffSchedule, DifferentSeedsDesynchronise)
-{
-    BackoffSchedule a, b;
-    a.seed = 1;
-    b.seed = 2;
-    bool differed = false;
-    for (unsigned attempt = 0; attempt < 16 && !differed; ++attempt)
-        differed = a.delayMs(attempt) != b.delayMs(attempt);
-    EXPECT_TRUE(differed)
-        << "two seeds produced identical 16-delay sequences";
-}
-
-TEST(BackoffSchedule, EnvelopeGrowsAndCaps)
-{
-    BackoffSchedule s;
-    s.baseMs = 10;
-    s.maxMs = 1000;
-    s.seed = 7;
-    for (unsigned attempt = 0; attempt < 64; ++attempt) {
-        const std::uint64_t d = s.delayMs(attempt);
-        // Jitter covers the upper half of the envelope: the delay
-        // sits in [envelope/2, envelope] and never over the cap.
-        EXPECT_LE(d, 1000u) << "attempt " << attempt;
-        EXPECT_GE(d, 5u) << "attempt " << attempt;
-    }
-    // Early attempts stay under their (smaller) envelopes.
-    EXPECT_LE(s.delayMs(0), 10u);
-    EXPECT_LE(s.delayMs(1), 20u);
-    EXPECT_LE(s.delayMs(2), 40u);
-}
-
-TEST(BackoffSchedule, ZeroBaseMeansNoDelay)
-{
-    BackoffSchedule s;
-    s.baseMs = 0;
-    for (unsigned attempt = 0; attempt < 8; ++attempt)
-        EXPECT_EQ(s.delayMs(attempt), 0u);
-}
-
-TEST(Retry, ScheduleSleeperSeesDeterministicDelays)
-{
-    BackoffSchedule s;
-    s.baseMs = 10;
-    s.maxMs = 5000;
-    s.seed = 99;
-
-    auto run = [&]() {
-        std::vector<std::uint64_t> slept;
-        int calls = 0;
-        Result<void> r = retryWithBackoff(
-            5, s,
-            [&]() -> Result<void> {
-                if (++calls < 4)
-                    return Error(Errc::IoError, "transient");
-                return Result<void>();
-            },
-            [&](std::uint64_t ms) { slept.push_back(ms); });
-        EXPECT_TRUE(r.ok());
-        EXPECT_EQ(calls, 4);
-        return slept;
-    };
-
-    const std::vector<std::uint64_t> first = run();
-    const std::vector<std::uint64_t> second = run();
-    ASSERT_EQ(first.size(), 3u); // sleeps between 4 calls
-    EXPECT_EQ(first, second);
-    // The recorded delays are exactly the schedule's.
-    for (unsigned i = 0; i < first.size(); ++i)
-        EXPECT_EQ(first[i], s.delayMs(i));
-}
-
 TEST(Retry, ExhaustionReturnsLastError)
 {
-    BackoffSchedule s;
-    s.baseMs = 0; // no sleeping
     int calls = 0;
-    Result<void> r = retryWithBackoff(
-        3, s,
-        [&]() -> Result<void> {
-            ++calls;
-            return Error(Errc::IoError,
-                         "fail " + std::to_string(calls));
-        },
-        [](std::uint64_t) { FAIL() << "slept despite baseMs == 0"; });
+    Result<void> r = retryWithBackoff(3, 0, [&]() -> Result<void> {
+        ++calls;
+        return Error(Errc::IoError, "fail " + std::to_string(calls));
+    });
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(calls, 3);
     EXPECT_EQ(r.error().message, "fail 3");
 }
 
-TEST(Retry, FaultSeedFromEnvDrivesTheSchedule)
+TEST(Retry, FirstSuccessStopsRetrying)
 {
-    // CBWS_FAULT_SEED is the conventional seed source: the same value
-    // must reproduce the same schedule, and unset must default to 1.
-    ::setenv("CBWS_FAULT_SEED", "1234", 1);
-    EXPECT_EQ(faultSeedFromEnv(), 1234u);
-    BackoffSchedule a;
-    a.seed = faultSeedFromEnv();
-    BackoffSchedule b;
-    b.seed = 1234;
-    for (unsigned attempt = 0; attempt < 8; ++attempt)
-        EXPECT_EQ(a.delayMs(attempt), b.delayMs(attempt));
-
-    ::unsetenv("CBWS_FAULT_SEED");
-    EXPECT_EQ(faultSeedFromEnv(), 1u);
-    ::setenv("CBWS_FAULT_SEED", "garbage", 1);
-    EXPECT_EQ(faultSeedFromEnv(), 1u);
-    ::unsetenv("CBWS_FAULT_SEED");
+    int calls = 0;
+    Result<void> r = retryWithBackoff(5, 0, [&]() -> Result<void> {
+        if (++calls < 2)
+            return Error(Errc::IoError, "transient");
+        return Result<void>();
+    });
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(calls, 2);
 }
 
 } // namespace

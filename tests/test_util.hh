@@ -7,9 +7,12 @@
 #define CBWS_TESTS_TEST_UTIL_HH
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "prefetch/prefetcher.hh"
+#include "sim/experiment.hh"
+#include "sim/report.hh"
 #include "trace/trace.hh"
 
 namespace cbws
@@ -94,6 +97,20 @@ replayTrace(const Trace &trace, Prefetcher &pf, PrefetchSink &sink)
             break;
         }
     }
+}
+
+/**
+ * Every cell of @p matrix, row-major, through the report's toJson:
+ * the byte-identity yardstick for resumed, sharded and merged runs.
+ */
+inline std::string
+matrixJson(const ExperimentMatrix &matrix)
+{
+    std::vector<SimResult> cells;
+    for (const auto &row : matrix.rows)
+        cells.insert(cells.end(), row.byPrefetcher.begin(),
+                     row.byPrefetcher.end());
+    return toJson(cells);
 }
 
 } // namespace test
