@@ -1,5 +1,6 @@
 #include "base/profiler.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -50,6 +51,14 @@ toString(Phase phase)
         return "trace_cache_io";
       case Phase::DecodeBatch:
         return "decode_batch";
+      case Phase::Fetch:
+        return "fetch";
+      case Phase::Dispatch:
+        return "dispatch";
+      case Phase::Issue:
+        return "issue";
+      case Phase::Commit:
+        return "commit";
       default:
         return "invalid";
     }
@@ -64,9 +73,10 @@ describe(Phase phase)
       case Phase::TraceSynthesis:
         return "workload kernels synthesising trace records";
       case Phase::Decode:
-        return "core fetch/decode/dispatch of trace records";
+        return "core cycle loop: driver, hierarchy tick, in-order "
+               "core";
       case Phase::CacheLookup:
-        return "L1-miss / L2 demand processing (L1 hits: decode)";
+        return "L1-miss / L2 demand processing (L1 hits: caller)";
       case Phase::PfObserve:
         return "prefetcher training (observe, block events)";
       case Phase::PfIssue:
@@ -81,6 +91,14 @@ describe(Phase phase)
         return "on-disk trace cache load/store";
       case Phase::DecodeBatch:
         return "SoA batch pre-decode of trace records";
+      case Phase::Fetch:
+        return "OoO fetch: branch prediction, L1I access";
+      case Phase::Dispatch:
+        return "OoO dispatch: rename, wake-list linking";
+      case Phase::Issue:
+        return "OoO issue-select, store forwarding, load execute";
+      case Phase::Commit:
+        return "OoO commit: stores, prefetcher training hooks";
       default:
         return "";
     }
@@ -174,6 +192,96 @@ enable()
     // the epoch and its slab partitions the whole profiled window.
     s.lastTsc = g.t0Tsc;
     s.current = Phase::Other;
+}
+
+StageSampler::StageSampler(Phase loop, std::uint32_t period)
+    : loop_(loop), period_(period), countdown_(period)
+{
+    if (!enabled() || period == 0)
+        return;
+    detail::ThreadSlab &s = accrue();
+    active_ = true;
+    outer_ = s.stageSampler;
+    s.stageSampler = this;
+    chargedNow(begin_);
+}
+
+void
+StageSampler::chargedNow(std::array<std::int64_t, NumPhases> &out) const
+{
+    const detail::ThreadSlab &s = detail::slab();
+    for (unsigned p = 0; p < NumPhases; ++p)
+        out[p] = static_cast<std::int64_t>(s.ticks[p]) + s.adjust[p];
+}
+
+void
+StageSampler::startTimed()
+{
+    // Probe: two back-to-back switch points, whose interval is the
+    // overhead every timed interval carries. The second one opens the
+    // iteration's first interval.
+    enter(loop_);
+    const std::uint64_t probe0 = detail::slab().lastTsc;
+    enter(loop_);
+    probeTicks_ = std::min(probeTicks_, detail::slab().lastTsc - probe0);
+    --intervals_[static_cast<unsigned>(loop_)];
+    chargedNow(iterBegin_);
+    timed_ = true;
+}
+
+void
+StageSampler::endTimed()
+{
+    accrue();
+    std::array<std::int64_t, NumPhases> now;
+    chargedNow(now);
+    for (unsigned p = 0; p < NumPhases; ++p)
+        sampled_[p] += now[p] - iterBegin_[p];
+    timed_ = false;
+}
+
+StageSampler::~StageSampler()
+{
+    if (!active_)
+        return;
+    if (timed_)
+        endTimed();
+    detail::ThreadSlab &s = accrue();
+    s.stageSampler = outer_;
+    if (probeTicks_ == ~std::uint64_t(0))
+        return; // no iteration was timed
+    std::array<std::int64_t, NumPhases> now;
+    chargedNow(now);
+
+    // The loop and its stages: the phases timed iterations switched
+    // to. Nested phases (cache lookups, prefetcher training) keep
+    // their own attribution.
+    const unsigned loop = static_cast<unsigned>(loop_);
+    const double overhead = static_cast<double>(probeTicks_);
+    double total = 0.0;
+    double weight_sum = 0.0;
+    std::array<double, NumPhases> weight{};
+    for (unsigned p = 0; p < NumPhases; ++p) {
+        if (p != loop && intervals_[p] == 0)
+            continue;
+        total += static_cast<double>(now[p] - begin_[p]);
+        weight[p] = std::max(
+            0.0, static_cast<double>(sampled_[p]) -
+                     static_cast<double>(intervals_[p]) * overhead);
+        weight_sum += weight[p];
+    }
+    if (weight_sum <= 0.0)
+        return;
+    for (unsigned p = 0; p < NumPhases; ++p) {
+        if (p == loop || intervals_[p] == 0)
+            continue;
+        const std::int64_t target = static_cast<std::int64_t>(
+            total * weight[p] / weight_sum);
+        const std::int64_t shift = target - (now[p] - begin_[p]);
+        s.adjust[p] += shift;
+        s.adjust[loop] -= shift;
+        s.entries[p] += intervals_[p] * period_;
+    }
 }
 
 void

@@ -56,8 +56,8 @@ enum class Phase : unsigned
 {
     Other = 0,      ///< unattributed (driver loops, setup, teardown)
     TraceSynthesis, ///< workload kernels emitting trace records
-    Decode,         ///< core fetch/decode/dispatch of trace records
-    CacheLookup,    ///< L1-miss/L2 demand processing (hits: decode)
+    Decode,         ///< core cycle loop outside the OoO stages
+    CacheLookup,    ///< L1-miss/L2 demand processing (hits: caller)
     PfObserve,      ///< prefetcher training (observe/blockBegin/End)
     PfIssue,        ///< prefetch-queue drain into the memory system
     Dram,           ///< MSHR/DRAM fill-drain processing
@@ -65,6 +65,10 @@ enum class Phase : unsigned
     CheckpointIO,   ///< checkpoint open/append (seal, write, flush)
     TraceCacheIO,   ///< on-disk trace-cache load/store
     DecodeBatch,    ///< SoA batch pre-decode of trace records
+    Fetch,          ///< OoO fetch stage (branch predict, L1I)
+    Dispatch,       ///< OoO dispatch: rename, wake-list linking
+    Issue,          ///< OoO issue-select, forwarding, load execute
+    Commit,         ///< OoO in-order commit, stores, commit hooks
     NumPhases
 };
 
@@ -76,6 +80,8 @@ const char *toString(Phase phase);
 
 /** One-line human description of what a phase covers. */
 const char *describe(Phase phase);
+
+class StageSampler;
 
 namespace detail
 {
@@ -104,6 +110,8 @@ struct ThreadSlab
     std::array<Phase, 64> stack;
     unsigned depth = 0;
     bool worker = false; ///< slab belongs to a pool worker thread
+    /** Innermost live StageSampler of this thread. */
+    StageSampler *stageSampler = nullptr;
 };
 
 /** Cached pointer to this thread's slab (set by slabSlow()). */
@@ -281,6 +289,144 @@ class SampledScope
     std::uint32_t weight_ = 0;
     unsigned phase_ = 0;
     unsigned parent_ = 0;
+};
+
+/**
+ * Stage attribution for a hot loop whose iterations split into
+ * consecutive stages that each cost about what timing them does (the
+ * OoO cycle loop: per core, commit/issue/dispatch/fetch of tens of ns
+ * each).
+ *
+ * One iteration in @p period is timed: every stage switch inside it
+ * (enter()) reads the TSC, switch-point style, so the iteration's
+ * intervals are charged to the loop phase or to a stage. Untimed
+ * iterations read no clock: their time stays in the loop phase. When
+ * the sampler ends, the exact time the loop and its stages were
+ * charged in total is split in the proportions the timed iterations
+ * measured, after taking out of every interval the timing overhead a
+ * probe measured in place (two back-to-back switch points at the
+ * start of each timed iteration; the fastest probe counts).
+ * Per-thread phase totals therefore still partition wall time, and a
+ * stage can never be charged more than the loop spent. Sampled
+ * scopes nested in a stage adjust that stage, and the split includes
+ * their adjustments. Attribution is statistical and only holds for a
+ * loop that runs many iterations.
+ */
+class StageSampler
+{
+  public:
+    /** Sample the loop running in phase @p loop (the caller's
+     *  enclosing scope); a no-op while profiling is off. */
+    StageSampler(Phase loop, std::uint32_t period);
+    ~StageSampler();
+
+    /** Call at the top of every iteration. */
+    void
+    beginIteration()
+    {
+        if (!active_)
+            return;
+        if (timed_)
+            endTimed();
+        if (--countdown_ == 0) {
+            countdown_ = period_;
+            startTimed();
+        }
+    }
+
+    /** The sampler timing this thread's current iteration, or
+     *  nullptr (also when profiling is off). */
+    static StageSampler *
+    timing()
+    {
+        if (!enabled())
+            return nullptr;
+        StageSampler *s = detail::slab().stageSampler;
+        return s && s->timed_ ? s : nullptr;
+    }
+
+    /** Switch point: end the running interval and charge what
+     *  follows to @p phase (a stage, or the loop phase). */
+    void
+    enter(Phase phase)
+    {
+        detail::ThreadSlab &s = accrue();
+        s.current = phase;
+        ++intervals_[static_cast<unsigned>(phase)];
+    }
+
+    Phase loopPhase() const { return loop_; }
+
+    StageSampler(const StageSampler &) = delete;
+    StageSampler &operator=(const StageSampler &) = delete;
+
+  private:
+    /** Charge the time since the last switch point to the running
+     *  phase. */
+    static detail::ThreadSlab &
+    accrue()
+    {
+        detail::ThreadSlab &s = detail::slab();
+        const std::uint64_t now = detail::readTsc();
+        if (s.lastTsc != 0)
+            s.ticks[static_cast<unsigned>(s.current)] += now - s.lastTsc;
+        s.lastTsc = now;
+        return s;
+    }
+
+    void startTimed();
+    void endTimed();
+
+    /** Ticks charged to every phase so far (ticks + adjustments). */
+    void chargedNow(std::array<std::int64_t, NumPhases> &out) const;
+
+    Phase loop_;
+    std::uint32_t period_;
+    bool active_ = false;
+    bool timed_ = false;
+    /** Iterations until the next timed one. */
+    std::uint32_t countdown_;
+    StageSampler *outer_ = nullptr;
+    /** Charged totals when the sampler / the timed iteration began. */
+    std::array<std::int64_t, NumPhases> begin_{};
+    std::array<std::int64_t, NumPhases> iterBegin_{};
+    /** Summed over timed iterations: ticks charged per phase, and
+     *  the intervals each phase was charged. */
+    std::array<std::int64_t, NumPhases> sampled_{};
+    std::array<std::uint64_t, NumPhases> intervals_{};
+    /** Fastest probe: a preempted probe must not count. */
+    std::uint64_t probeTicks_ = ~std::uint64_t(0);
+};
+
+/**
+ * The stage switch points of one loop iteration's body: each call
+ * switches the sampler timing this iteration to a stage, and the
+ * scope's end switches back to the loop phase. No-ops (one null test)
+ * in untimed iterations.
+ */
+class StageSwitch
+{
+  public:
+    StageSwitch() : sampler_(StageSampler::timing()) {}
+
+    ~StageSwitch()
+    {
+        if (sampler_)
+            sampler_->enter(sampler_->loopPhase());
+    }
+
+    void
+    operator()(Phase stage)
+    {
+        if (sampler_)
+            sampler_->enter(stage);
+    }
+
+    StageSwitch(const StageSwitch &) = delete;
+    StageSwitch &operator=(const StageSwitch &) = delete;
+
+  private:
+    StageSampler *sampler_;
 };
 
 #define CBWS_PROF_CONCAT2(a, b) a##b

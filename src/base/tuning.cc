@@ -28,7 +28,6 @@ Tuning::get()
 {
     static Tuning tuning = [] {
         Tuning t;
-        t.batchDecode = envEnabled("CBWS_BATCH_DECODE");
         t.skipAhead = envEnabled("CBWS_SKIP_AHEAD");
         return t;
     }();

@@ -10,8 +10,7 @@
  * results — and so a future miscompare can be bisected to one
  * optimization from the command line without a rebuild.
  *
- * Environment overrides (read once, at first use):
- *  - CBWS_BATCH_DECODE=0  disable the SoA batch pre-decode of traces
+ * Environment override (read once, at first use):
  *  - CBWS_SKIP_AHEAD=0    disable the idle-cycle fast-forward
  */
 
@@ -24,11 +23,6 @@ namespace cbws
 /** Process-wide speed toggles (mutable for tests). */
 struct Tuning
 {
-    /** Pre-decode traces into SoA replay buffers (trace/decoded.hh)
-     *  and replay from them, instead of re-deriving renaming and
-     *  block membership per record. */
-    bool batchDecode = true;
-
     /** Fast-forward idle cycles to the next scheduled event in the
      *  out-of-order cycle loop (runCores()). */
     bool skipAhead = true;

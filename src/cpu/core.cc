@@ -42,18 +42,6 @@ OooCore::OooCore(const CoreParams &params, Hierarchy &mem,
 }
 
 void
-OooCore::noteStore(LineAddr line)
-{
-    ++storeLineFilter_[storeFilterBucket(line)];
-}
-
-void
-OooCore::retireStore(LineAddr line)
-{
-    --storeLineFilter_[storeFilterBucket(line)];
-}
-
-void
 OooCore::pushEvent(Cycle at)
 {
     events_.push_back(at);
@@ -62,14 +50,13 @@ OooCore::pushEvent(Cycle at)
 }
 
 std::size_t
-OooCore::appendUnissued(std::size_t begin, std::size_t len,
-                        std::size_t n)
+OooCore::appendReady(std::size_t begin, std::size_t len, std::size_t n)
 {
     std::uint32_t *out = scanBuf_.data();
     const std::size_t end = begin + len;
     std::size_t w = begin >> 6;
     std::uint64_t word =
-        unissued_[w] & (~std::uint64_t(0) << (begin & 63));
+        ready_[w] & (~std::uint64_t(0) << (begin & 63));
     for (;;) {
         const std::size_t base = w << 6;
         std::uint64_t m = word;
@@ -82,7 +69,7 @@ OooCore::appendUnissued(std::size_t begin, std::size_t len,
         }
         if (base + 64 >= end)
             break;
-        word = unissued_[++w];
+        word = ready_[++w];
     }
     return n;
 }
@@ -95,10 +82,16 @@ OooCore::begin(const Trace &trace, std::uint64_t max_insts,
 {
     static_assert(DecodedTrace::NoProd == NoProducer,
                   "pre-decoded producer sentinel must match the core's");
+    // The ready list wakes a consumer only after its producer's issue
+    // stage has passed it, so every completion must land at least one
+    // cycle after its issue.
+    fatal_if(params_.intAluLatency == 0 || params_.intMulLatency == 0 ||
+                 params_.fpLatency == 0 ||
+                 mem_.params().l1d.latency == 0,
+             "core: execution and L1D hit latencies must be >= 1 cycle");
     records_ = trace.records().data();
     traceSize_ = trace.size();
-    decoded_ =
-        Tuning::get().batchDecode ? &trace.ensureDecoded() : nullptr;
+    decoded_ = &trace.ensureDecoded();
     maxInsts_ = max_insts;
     warmupInsts_ = warmup_insts;
     onCommit_ = on_commit;
@@ -110,32 +103,40 @@ OooCore::begin(const Trace &trace, std::uint64_t max_insts,
     done_ = false;
     rob_.assign(params_.robSize, RobEntry());
     readyAt_.assign(params_.robSize, 0);
-    earliestIssue_.assign(params_.robSize, 0);
-    unissued_.assign((params_.robSize + 63) / 64, 0);
+    issueBound_.assign(params_.robSize, 0);
+    pending_.assign(params_.robSize, 0);
+    wakeHead_.assign(params_.robSize, NoLink);
+    wakeNext_.assign(2 * params_.robSize, NoLink);
+    blockedUntil_.assign(params_.robSize, 0);
+    ready_.assign((params_.robSize + 63) / 64, 0);
     scanBuf_.assign(params_.robSize, 0);
     robHead_ = 0;
     robCount_ = 0;
+    storeQueue_.assign(params_.stqSize, StoreEntry());
+    sqHead_ = 0;
     fetchQueue_.assign(params_.fetchQueueSize, FetchEntry());
     fqHead_ = 0;
     fqCount_ = 0;
-    for (auto &p : regProducer_)
-        p = NoProducer;
     headSeq_ = 0;
     traceIdx_ = 0;
     fetchAllowedAt_ = 0;
     lastFetchLine_ = ~LineAddr(0);
     ldqCount_ = 0;
     stqCount_ = 0;
-    std::fill(std::begin(storeLineFilter_), std::end(storeLineFilter_),
-              std::uint8_t(0));
-    fetchInBlock_ = false;
     lastCommittedInBlock_ = false;
     firstUnissued_ = 0;
     events_.clear();
     lastCycleInBlock_ = false;
     cycleRobFullStalls_ = 0;
     cycleLsqFullStalls_ = 0;
-    cycleLimit_ = max_insts * 300 + 100000;
+    // Livelock guard: 300 cycles per instruction plus slack,
+    // saturating so a huge budget means "no limit" instead of
+    // wrapping to a tiny one.
+    if (__builtin_mul_overflow(max_insts, Cycle(300), &cycleLimit_) ||
+        __builtin_add_overflow(cycleLimit_, Cycle(100000),
+                               &cycleLimit_)) {
+        cycleLimit_ = Never;
+    }
 }
 
 unsigned
@@ -146,8 +147,8 @@ OooCore::commitStage(Cycle now)
     while (robCount_ > 0 && committed < params_.width &&
            stats_.instructions < maxInsts_) {
         RobEntry &head = rob_[robHead_];
-        if (isUnissued(robHead_) || readyAt_[robHead_] > now)
-            break;
+        if (readyAt_[robHead_] > now)
+            break; // unissued (Never) or still executing
         const TraceRecord &rec = records_[head.idx];
         if (rec.cls == InstClass::Store) {
             // Stores write the memory system at commit, in program
@@ -155,8 +156,9 @@ OooCore::commitStage(Cycle now)
             head.mem = mem_.store(rec.effAddr, now, coreId_);
             if (onAccess_)
                 onAccess_(rec, head.mem, now);
-            retireStore(decoded_ ? decoded_->effLine[head.idx]
-                                 : rec.line());
+            // Stores commit in program order: this is the queue head.
+            if (++sqHead_ == storeQueue_.size())
+                sqHead_ = 0;
             --stqCount_;
             ++stats_.memInstructions;
         } else if (rec.cls == InstClass::Load) {
@@ -193,6 +195,48 @@ OooCore::commitStage(Cycle now)
     return committed;
 }
 
+Cycle
+OooCore::forwardFrom(std::size_t p, LineAddr line, Cycle now) const
+{
+    // Youngest-first over the in-flight stores: skip those younger
+    // than the load, then the first older one on the line decides.
+    const std::size_t load_off = robOffset(p);
+    const std::size_t cap = storeQueue_.size();
+    for (std::size_t i = stqCount_; i-- > 0;) {
+        std::size_t q = sqHead_ + i;
+        if (q >= cap)
+            q -= cap;
+        const StoreEntry &st = storeQueue_[q];
+        if (st.line != line || robOffset(st.slot) > load_off)
+            continue;
+        const Cycle store_ready = readyAt_[st.slot];
+        return store_ready == Never ? Never
+                                    : std::max(now, store_ready) + 1;
+    }
+    return 0;
+}
+
+void
+OooCore::completeIssue(std::size_t p, Cycle ready, Cycle now)
+{
+    readyAt_[p] = ready;
+    clearReady(p);
+    for (std::uint32_t link = wakeHead_[p]; link != NoLink;
+         link = wakeNext_[link]) {
+        const std::size_t c = link >> 1;
+        if (ready > issueBound_[c])
+            issueBound_[c] = ready;
+        if (--pending_[c] == 0)
+            setReady(c);
+    }
+    wakeHead_[p] = NoLink;
+    // Completions due in <= 1 cycle are never queried from the
+    // future (issuing counts as progress, so no skip starts this
+    // cycle); everything else enters the wake-up heap.
+    if (ready > now + 1)
+        pushEvent(ready);
+}
+
 unsigned
 OooCore::issueStage(Cycle now)
 {
@@ -201,125 +245,73 @@ OooCore::issueStage(Cycle now)
     unsigned mem_ports_used = 0;
     const std::size_t rob_size = params_.robSize;
     while (firstUnissued_ < robCount_ &&
-           !isUnissued(physIndex(firstUnissued_))) {
+           readyAt_[physIndex(firstUnissued_)] != Never) {
         ++firstUnissued_;
     }
     if (firstUnissued_ >= robCount_)
         return 0;
-    // Collect the window's unissued slots in age order (up to two
-    // linear bitmask segments around the ring's wrap point); the scan
-    // then touches only real candidates, and blocked ones cost a
-    // single earliestIssue_ compare.
+    // Collect the window's ready slots in age order (up to two linear
+    // bitmask segments around the ring's wrap point). Entries woken
+    // by an issue below are not candidates this cycle, which is
+    // exact: every completion lies at least one cycle after its issue.
     const std::size_t scan_len = std::min<std::size_t>(
         robCount_ - firstUnissued_, params_.issueWindow);
     const std::size_t phys_start = physIndex(firstUnissued_);
     const std::size_t seg = std::min(scan_len, rob_size - phys_start);
-    std::size_t num_cand = appendUnissued(phys_start, seg, 0);
+    std::size_t num_cand = appendReady(phys_start, seg, 0);
     if (seg < scan_len)
-        num_cand = appendUnissued(0, scan_len - seg, num_cand);
+        num_cand = appendReady(0, scan_len - seg, num_cand);
 
     for (std::size_t c = 0; c < num_cand; ++c) {
         const std::uint32_t p = scanBuf_[c];
         if (fu_used >= params_.numFUs)
             break;
-        if (earliestIssue_[p] > now)
-            continue; // known-blocked until then; one compare
+        if (issueBound_[p] > now)
+            continue; // an issued producer is still executing
         RobEntry &e = rob_[p];
-        {
-            // Dependence check; on failure remember the soundest
-            // wake-up bound the issued producers imply.
-            Cycle bound = 0;
-            bool blocked = false;
-            for (const std::uint32_t seq : {e.src1Seq, e.src2Seq}) {
-                if (seq == NoProducer || seq < headSeq_)
-                    continue;
-                std::size_t pp = robHead_ +
-                    static_cast<std::size_t>(seq - headSeq_);
-                if (pp >= rob_size)
-                    pp -= rob_size;
-                if (isUnissued(pp)) {
-                    blocked = true;
-                    // The producer's own issue bound propagates: it
-                    // cannot complete before issuing (>= 1 cycle
-                    // latency), so this entry cannot issue before
-                    // bound+1. earliestIssue_ values are sound lower
-                    // bounds by induction, and a stale (low) bound
-                    // only costs an extra re-check.
-                    if (earliestIssue_[pp] + 1 > bound)
-                        bound = earliestIssue_[pp] + 1;
-                } else if (readyAt_[pp] > now) {
-                    blocked = true;
-                    if (readyAt_[pp] > bound)
-                        bound = readyAt_[pp];
-                }
-            }
-            if (blocked) {
-                earliestIssue_[p] = bound;
-                continue;
-            }
-        }
-
         const TraceRecord &rec = records_[e.idx];
+        Cycle ready;
         if (rec.cls == InstClass::Load) {
             if (mem_ports_used >= params_.memPortsPerCycle)
                 continue;
-            // Store-to-load forwarding: an older, uncommitted store
-            // to the same line supplies the data. The backward ROB
-            // scan only runs when the line counter says some
-            // in-flight store touches this line.
-            bool forwarded = false;
-            bool wait_for_store = false;
-            Cycle fwd_ready = 0;
-            const LineAddr line =
-                decoded_ ? decoded_->effLine[e.idx] : rec.line();
-            if (storeLineFilter_[storeFilterBucket(line)]) {
-                std::size_t jp = p;
-                const std::size_t i = p >= robHead_
-                    ? p - robHead_
-                    : p + rob_size - robHead_;
-                for (std::size_t j = i; j-- > 0;) {
-                    jp = (jp == 0 ? rob_size : jp) - 1;
-                    const RobEntry &older = rob_[jp];
-                    const TraceRecord &orec = records_[older.idx];
-                    if (orec.cls != InstClass::Store ||
-                        lineOf(orec.effAddr) != line) {
-                        continue;
-                    }
-                    if (isUnissued(jp)) {
-                        wait_for_store = true;
-                    } else {
-                        forwarded = true;
-                        fwd_ready = std::max(now, readyAt_[jp]) + 1;
-                    }
-                    break;
-                }
-            }
-            if (wait_for_store)
+            if (blockedUntil_[p] > now) {
+                // The L1D MSHR file is still full: this retry fails
+                // exactly like the last one did.
+                mem_.repeatBlockedLoad(now);
                 continue;
-            if (forwarded) {
+            }
+            // Store-to-load forwarding: an older, uncommitted store
+            // to the same line supplies the data.
+            const Cycle fwd_ready =
+                forwardFrom(p, decoded_->effLine[e.idx], now);
+            if (fwd_ready == Never)
+                continue; // wait for the store to issue
+            if (fwd_ready != 0) {
                 e.mem.ok = true;
                 e.mem.l1Hit = true;
                 e.mem.readyAt = fwd_ready;
-                readyAt_[p] = fwd_ready;
+                ready = fwd_ready;
             } else {
                 AccessOutcome out =
                     mem_.load(rec.effAddr, now, coreId_);
-                if (!out.ok)
-                    continue; // MSHR back-pressure: retry next cycle
+                if (!out.ok) {
+                    // MSHR back-pressure: retry next cycle.
+                    blockedUntil_[p] = mem_.l1dBlockedUntil(coreId_);
+                    continue;
+                }
                 e.mem = out;
-                readyAt_[p] = out.readyAt;
+                ready = out.readyAt;
                 if (onAccess_)
                     onAccess_(rec, out, now);
             }
             ++mem_ports_used;
         } else if (rec.cls == InstClass::Store) {
             // Address/data become ready; the write happens at commit.
-            readyAt_[p] = now + 1;
+            ready = now + 1;
         } else if (rec.cls == InstClass::Branch) {
-            readyAt_[p] = now + 1;
+            ready = now + 1;
             if (e.mispredicted) {
-                fetchAllowedAt_ =
-                    readyAt_[p] + params_.mispredictPenalty;
+                fetchAllowedAt_ = ready + params_.mispredictPenalty;
                 DPRINTF(Core, "mispredict pc=%#llx resolved; "
                         "fetch resumes at %llu",
                         static_cast<unsigned long long>(rec.pc),
@@ -331,15 +323,10 @@ OooCore::issueStage(Cycle now)
                 }
             }
         } else {
-            readyAt_[p] = now + execLatency(params_, rec.cls);
+            ready = now + execLatency(params_, rec.cls);
         }
-        clearUnissued(p);
+        completeIssue(p, ready, now);
         ++fu_used;
-        // Completions due in <= 1 cycle are never queried from the
-        // future (issuing counts as progress, so no skip starts this
-        // cycle); everything else enters the wake-up heap.
-        if (readyAt_[p] > now + 1)
-            pushEvent(readyAt_[p]);
     }
     return fu_used;
 }
@@ -360,6 +347,7 @@ OooCore::dispatchStage(Cycle now)
         }
         const FetchEntry &fe = fetchQueue_[fqHead_];
         const TraceRecord &rec = records_[fe.idx];
+        const std::size_t phys = physIndex(robCount_);
         if (rec.cls == InstClass::Load) {
             if (ldqCount_ >= params_.ldqSize) {
                 ++stats_.lsqFullStalls;
@@ -371,44 +359,56 @@ OooCore::dispatchStage(Cycle now)
                 ++stats_.lsqFullStalls;
                 break;
             }
+            std::size_t q = sqHead_ + stqCount_;
+            if (q >= storeQueue_.size())
+                q -= storeQueue_.size();
+            storeQueue_[q] = StoreEntry{decoded_->effLine[fe.idx],
+                                        static_cast<std::uint32_t>(
+                                            phys)};
             ++stqCount_;
-            noteStore(decoded_ ? decoded_->effLine[fe.idx]
-                               : rec.line());
         }
-        const std::size_t phys = physIndex(robCount_);
         RobEntry &slot = rob_[phys];
         slot = RobEntry();
         slot.idx = fe.idx;
         slot.mispredicted = fe.mispredicted;
         slot.inBlock = fe.inBlock;
-        earliestIssue_[phys] = 0;
-        if (decoded_) {
-            // Rename result precomputed by the SoA decode (the
-            // producer's trace index is its sequence number;
-            // DecodedTrace::NoProd and NoProducer are the same
-            // sentinel, so the values copy straight through).
-            slot.src1Seq = decoded_->src1Prod[fe.idx];
-            slot.src2Seq = decoded_->src2Prod[fe.idx];
-        } else {
-            // Rename: capture in-flight producers, then claim the
-            // destination register.
-            slot.src1Seq = rec.src1 != InvalidReg
-                               ? regProducer_[rec.src1]
-                               : NoProducer;
-            slot.src2Seq = rec.src2 != InvalidReg
-                               ? regProducer_[rec.src2]
-                               : NoProducer;
-            if (rec.dest != InvalidReg)
-                regProducer_[rec.dest] = static_cast<std::uint32_t>(
-                    headSeq_ + robCount_);
-        }
+        wakeHead_[phys] = NoLink;
+        blockedUntil_[phys] = 0;
         if (isBlockMarker(rec.cls) || rec.cls == InstClass::Nop) {
             // Markers are architectural no-ops: complete immediately
-            // without consuming a functional unit (the unissued bit
-            // is never set, so the scan skips them for free).
+            // without consuming a functional unit or a ready bit.
             readyAt_[phys] = now;
         } else {
-            setUnissued(phys);
+            // Rename result precomputed by the SoA decode (the
+            // producer's trace index is its sequence number). A
+            // producer still in the ROB that has not issued gets
+            // this entry on its wake list; an issued one bounds the
+            // issue cycle directly.
+            readyAt_[phys] = Never;
+            Cycle bound = 0;
+            unsigned pending = 0;
+            const std::uint32_t srcs[2] = {decoded_->src1Prod[fe.idx],
+                                           decoded_->src2Prod[fe.idx]};
+            for (unsigned k = 0; k < 2; ++k) {
+                const std::uint32_t seq = srcs[k];
+                if (seq == NoProducer || seq < headSeq_)
+                    continue;
+                const std::size_t pp = physIndex(
+                    static_cast<std::size_t>(seq - headSeq_));
+                if (readyAt_[pp] == Never) {
+                    const std::uint32_t link =
+                        static_cast<std::uint32_t>(2 * phys + k);
+                    wakeNext_[link] = wakeHead_[pp];
+                    wakeHead_[pp] = link;
+                    ++pending;
+                } else if (readyAt_[pp] > bound) {
+                    bound = readyAt_[pp];
+                }
+            }
+            issueBound_[phys] = bound;
+            pending_[phys] = static_cast<std::uint8_t>(pending);
+            if (pending == 0)
+                setReady(phys);
         }
         ++robCount_;
         if (++fqHead_ == fetchQueue_.size())
@@ -435,8 +435,7 @@ OooCore::fetchStage(Cycle now)
     while (fetched < params_.width && fqCount_ < fq_cap &&
            traceIdx_ < traceSize_ && now >= fetchAllowedAt_) {
         const TraceRecord &rec = records_[traceIdx_];
-        const LineAddr fetch_line =
-            decoded_ ? decoded_->pcLine[traceIdx_] : lineOf(rec.pc);
+        const LineAddr fetch_line = decoded_->pcLine[traceIdx_];
         if (fetch_line != lastFetchLine_) {
             AccessOutcome out = mem_.fetch(rec.pc, now, coreId_);
             if (!out.ok)
@@ -451,17 +450,8 @@ OooCore::fetchStage(Cycle now)
 
         FetchEntry e;
         e.idx = static_cast<std::uint32_t>(traceIdx_);
-        if (decoded_) {
-            e.inBlock = (decoded_->flags[traceIdx_] &
-                         DecodedTrace::InBlock) != 0;
-        } else {
-            if (rec.cls == InstClass::BlockBegin)
-                fetchInBlock_ = true;
-            e.inBlock =
-                fetchInBlock_ || rec.cls == InstClass::BlockEnd;
-            if (rec.cls == InstClass::BlockEnd)
-                fetchInBlock_ = false;
-        }
+        e.inBlock =
+            (decoded_->flags[traceIdx_] & DecodedTrace::InBlock) != 0;
 
         ++traceIdx_;
         ++fetched;
@@ -494,6 +484,10 @@ OooCore::step(Cycle now)
 {
     const std::uint64_t rob_stalls0 = stats_.robFullStalls;
     const std::uint64_t lsq_stalls0 = stats_.lsqFullStalls;
+    // Each stage is its own profiler phase (timed in the cycles
+    // runCores() samples).
+    prof::StageSwitch stage;
+    stage(prof::Phase::Commit);
     const unsigned committed = commitStage(now);
     if (trace_ && committed > 0 && trace_->wants(now)) {
         trace_->counter(commitLabel_.c_str(), now, committed);
@@ -509,8 +503,11 @@ OooCore::step(Cycle now)
         return committed > 0;
     }
 
+    stage(prof::Phase::Issue);
     const unsigned fu_used = issueStage(now);
+    stage(prof::Phase::Dispatch);
     const unsigned dispatched = dispatchStage(now);
+    stage(prof::Phase::Fetch);
     const unsigned fetched = fetchStage(now);
 
     // ---- Cycle accounting ----
@@ -597,10 +594,13 @@ std::vector<CoreStats>
 runCores(const std::vector<OooCore *> &cores, Hierarchy &mem,
          const std::function<void(unsigned, Cycle)> &on_done)
 {
-    // One scope for the whole replay loop: core-side work (fetch,
-    // rename, scheduling, commit) lands in Decode; the memory-system
-    // phases nest inside and claim their own exclusive time.
+    // One scope for the whole replay loop. The memory-system phases
+    // nest inside it and claim their own exclusive time; the pipeline
+    // stages inside step() split the rest with Decode, which keeps
+    // the driver itself (hierarchy tick, skip-ahead, stall replay),
+    // in the proportions one cycle in 256 measures.
     PROF_SCOPE(prof::Phase::Decode);
+    prof::StageSampler stages(prof::Phase::Decode, 256);
 
     constexpr Cycle Never = ~Cycle(0);
     const unsigned n = static_cast<unsigned>(cores.size());
@@ -611,6 +611,7 @@ runCores(const std::vector<OooCore *> &cores, Hierarchy &mem,
     unsigned running = n;
     Cycle now = 0;
     while (true) {
+        stages.beginIteration();
         mem.tick(now);
         const std::uint64_t mshr_stalls0 = mem.stats().mshrStalls;
         bool worked = false;

@@ -29,9 +29,20 @@
  *  - ROB entries hold a trace *index* instead of a record copy; a
  *    record's sequence number equals its trace index because every
  *    record dispatches exactly once, in program order.
- *  - When the trace carries a SoA pre-decode (trace/decoded.hh,
- *    gated by CBWS_BATCH_DECODE), dispatch reads precomputed source
- *    producers and block membership instead of re-deriving them.
+ *  - Dispatch reads the trace's SoA pre-decode (trace/decoded.hh):
+ *    renamed source producers, fetch/effective lines and block
+ *    membership.
+ *  - Ready list: at dispatch an entry joins the wake list of each
+ *    producer that has not issued and counts them; a producer's
+ *    issue folds its completion cycle into each consumer's issue
+ *    bound and sets the ready bit of consumers whose count reaches
+ *    0. Issue selects from the ready bits alone.
+ *  - Store queue: in-flight stores in program order as (line, ROB
+ *    slot); forwarding searches it youngest-first.
+ *  - A load that fails on a full L1D MSHR file is not retried
+ *    against the hierarchy until the file can drain
+ *    (Hierarchy::l1dBlockedUntil); earlier retries only replay the
+ *    failed retry's effects (Hierarchy::repeatBlockedLoad).
  *  - Issued completion times feed a min-heap so nextLocalEvent() is
  *    O(log n) instead of an O(ROB) scan per idle query.
  *  - All ring-buffer walks use wrap-around index arithmetic; the
@@ -245,15 +256,6 @@ class OooCore
     struct RobEntry
     {
         AccessOutcome mem;
-        /** Sequence numbers (== trace indices, which fit 32 bits by
-         *  construction of FetchEntry::idx) of the in-flight
-         *  producers of the two source operands (NoProducer when the
-         *  value is already architectural). Precomputed by the SoA
-         *  decode or captured at dispatch — this is register
-         *  renaming, so WAR/WAW reuse of an architectural register
-         *  never stalls. */
-        std::uint32_t src1Seq = ~std::uint32_t(0);
-        std::uint32_t src2Seq = ~std::uint32_t(0);
         std::uint32_t idx = 0; ///< trace index == sequence number
         bool mispredicted = false;
         bool inBlock = false; ///< fetched inside an annotated block
@@ -267,8 +269,16 @@ class OooCore
         bool inBlock = false;
     };
 
+    /** One in-flight store in the store queue. */
+    struct StoreEntry
+    {
+        LineAddr line = 0;
+        std::uint32_t slot = 0; ///< physical ROB slot
+    };
+
     static constexpr Cycle Never = ~Cycle(0);
     static constexpr std::uint32_t NoProducer = ~std::uint32_t(0);
+    static constexpr std::uint32_t NoLink = ~std::uint32_t(0);
 
     /** Physical ROB slot of the entry at logical @p offset from the
      *  head. Valid for offset <= robSize (single conditional wrap,
@@ -282,41 +292,51 @@ class OooCore
         return p;
     }
 
-    const TraceRecord &recOf(const RobEntry &e) const
+    /** Logical offset from the head of physical ROB slot @p p. */
+    std::size_t
+    robOffset(std::size_t p) const
     {
-        return records_[e.idx];
+        return p >= robHead_ ? p - robHead_
+                             : p + params_.robSize - robHead_;
     }
 
-    void noteStore(LineAddr line);
-    void retireStore(LineAddr line);
     void pushEvent(Cycle at);
 
     /**
-     * @name Unissued-slot bitmask
-     * One bit per physical ROB slot, set from dispatch until issue
-     * (markers never set it; unoccupied slots are clear). The issue
-     * scan walks set bits instead of touching every RobEntry, and a
-     * producer's "already issued?" test is one bit probe.
+     * @name Ready bitmask
+     * One bit per physical ROB slot, set once every producer of a
+     * dispatched, unissued entry has issued (its pending count hit
+     * 0) and cleared at issue. The issue stage walks set bits
+     * instead of every unissued entry.
      */
     ///@{
-    void setUnissued(std::size_t p)
+    void setReady(std::size_t p)
     {
-        unissued_[p >> 6] |= std::uint64_t(1) << (p & 63);
+        ready_[p >> 6] |= std::uint64_t(1) << (p & 63);
     }
-    void clearUnissued(std::size_t p)
+    void clearReady(std::size_t p)
     {
-        unissued_[p >> 6] &= ~(std::uint64_t(1) << (p & 63));
-    }
-    bool isUnissued(std::size_t p) const
-    {
-        return (unissued_[p >> 6] >> (p & 63)) & 1;
+        ready_[p >> 6] &= ~(std::uint64_t(1) << (p & 63));
     }
     /** Write the physical indices of set bits in [begin, begin+len)
      *  (no wrap) to scanBuf_ starting at @p n; returns the new
      *  count. */
-    std::size_t appendUnissued(std::size_t begin, std::size_t len,
-                               std::size_t n);
+    std::size_t appendReady(std::size_t begin, std::size_t len,
+                            std::size_t n);
     ///@}
+
+    /**
+     * Store-to-load forwarding lookup for the load in ROB slot @p p
+     * on line @p line: the youngest store older than the load to the
+     * same line decides. Returns 0 when no such store is in flight,
+     * Never when it has not issued yet (the load waits), and
+     * otherwise the forwarded data's ready cycle.
+     */
+    Cycle forwardFrom(std::size_t p, LineAddr line, Cycle now) const;
+
+    /** Record that ROB slot @p p issued with completion @p ready:
+     *  wake its consumers and schedule the completion. */
+    void completeIssue(std::size_t p, Cycle ready, Cycle now);
 
     unsigned commitStage(Cycle now);
     unsigned issueStage(Cycle now);
@@ -337,8 +357,8 @@ class OooCore
     /** Contiguous record array of the running trace. */
     const TraceRecord *records_ = nullptr;
     std::size_t traceSize_ = 0;
-    /** SoA pre-decode of the running trace; nullptr in fallback
-     *  (per-record) mode. */
+    /** SoA pre-decode of the running trace: fetch/effective lines,
+     *  renamed source producers and block membership. */
     const DecodedTrace *decoded_ = nullptr;
     std::uint64_t maxInsts_ = 0;
     std::uint64_t warmupInsts_ = 0;
@@ -355,50 +375,47 @@ class OooCore
     std::vector<RobEntry> rob_;
     std::size_t robHead_ = 0;
     std::size_t robCount_ = 0;
-    /** Per-slot completion cycle (valid once the slot issued) and
-     *  issue lower bound, split out of RobEntry so the per-cycle
-     *  issue scan touches dense arrays instead of scattered structs.
-     *  earliestIssue_ is the max readyAt over the slot's
-     *  already-issued producers, captured the last time the scan
-     *  found it blocked; an issued producer's readyAt never changes,
-     *  so skipping the full dependence check until that cycle cannot
-     *  delay an issue. 0 = no bound. */
+    /**
+     * Per-slot scheduling state, split out of RobEntry so the issue
+     * stage touches dense arrays instead of scattered structs.
+     *  - readyAt_: completion cycle once issued; Never from dispatch
+     *    until issue (markers complete at dispatch).
+     *  - issueBound_: max readyAt over the slot's issued producers;
+     *    the slot cannot issue before it.
+     *  - pending_: producers that had not issued when the slot
+     *    dispatched and still have not.
+     *  - wakeHead_: first link of the slot's wake list, the consumers
+     *    waiting for it to issue. Link 2*c+k is source k of consumer
+     *    slot c; wakeNext_ chains the links.
+     *  - blockedUntil_: a load that failed on a full L1D MSHR file
+     *    fails identically on every retry before this cycle
+     *    (Hierarchy::l1dBlockedUntil); 0 = no memo.
+     */
     std::vector<Cycle> readyAt_;
-    std::vector<Cycle> earliestIssue_;
-    /** One bit per slot: dispatched but not yet issued. */
-    std::vector<std::uint64_t> unissued_;
-    /** Scratch list of candidate slots for the current issue scan. */
+    std::vector<Cycle> issueBound_;
+    std::vector<std::uint8_t> pending_;
+    std::vector<std::uint32_t> wakeHead_;
+    std::vector<std::uint32_t> wakeNext_;
+    std::vector<Cycle> blockedUntil_;
+    /** One bit per slot: dispatched, all producers issued, not yet
+     *  issued itself. */
+    std::vector<std::uint64_t> ready_;
+    /** Scratch list of candidate slots for the current issue stage. */
     std::vector<std::uint32_t> scanBuf_;
+    /** In-flight stores in program order, as a fixed ring (stqSize
+     *  entries): pushed at dispatch, popped at commit. */
+    std::vector<StoreEntry> storeQueue_;
+    std::size_t sqHead_ = 0;
     /** Fetch queue as a fixed ring (fetchQueueSize entries). */
     std::vector<FetchEntry> fetchQueue_;
     std::size_t fqHead_ = 0;
     std::size_t fqCount_ = 0;
-    /** Register renaming (fallback mode only): the sequence number of
-     *  the latest dispatched producer of each architectural
-     *  register. The batch path reads the same information from the
-     *  pre-decode. */
-    std::uint32_t regProducer_[NumArchRegs];
     std::uint64_t headSeq_ = 0; ///< sequence number of the ROB head
     std::size_t traceIdx_ = 0;
     Cycle fetchAllowedAt_ = 0;
     LineAddr lastFetchLine_ = ~LineAddr(0);
     unsigned ldqCount_ = 0;
-    unsigned stqCount_ = 0;
-    /** Counting filter over the lines of in-flight (dispatched,
-     *  uncommitted) stores: lets the store-to-load forwarding check
-     *  skip its O(ROB) backward scan for the common load with no
-     *  matching store — without changing which loads forward (the
-     *  scan still decides; a bucket collision merely runs a walk
-     *  that finds nothing). Counts cannot saturate: at most stqSize
-     *  (32) stores are in flight. */
-    static constexpr std::size_t StoreFilterBuckets = 128;
-    std::uint8_t storeLineFilter_[StoreFilterBuckets];
-    static std::size_t
-    storeFilterBucket(LineAddr line)
-    {
-        return (line * 0x9E3779B97F4A7C15ull) >> 57;
-    }
-    bool fetchInBlock_ = false;
+    unsigned stqCount_ = 0; ///< also the store queue's occupancy
     bool lastCommittedInBlock_ = false;
     /** First offset in the ROB that may hold an unissued entry; issue
      *  never needs to look before it. */

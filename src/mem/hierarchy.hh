@@ -324,6 +324,35 @@ class Hierarchy
     AccessOutcome load(Addr addr, Cycle now, unsigned core = 0);
 
     /**
+     * Read right after load() failed: when core @p core's L1D MSHR
+     * file was full, the first cycle at which it can drain. Until
+     * then the file stays full and that L1D gains no line, so a
+     * retry of the same load fails the same way, with
+     * repeatBlockedLoad()'s effects. 0 when the file has room (the
+     * L2 MSHR file stalled the load) or under prefetchToL1, whose L2
+     * fills insert into the L1D at any cycle.
+     */
+    Cycle
+    l1dBlockedUntil(unsigned core) const
+    {
+        const MshrFile &mshrs = l1dMshr_[core];
+        return params_.prefetchToL1 || !mshrs.full() ? 0
+                                                     : mshrs.nextReady();
+    }
+
+    /**
+     * Replay a load retry that l1dBlockedUntil() proved fails: the
+     * tick() every access makes (which renews the prefetch-issue
+     * budget when the queue is non-empty) and one MSHR stall.
+     */
+    void
+    repeatBlockedLoad(Cycle now)
+    {
+        tick(now);
+        ++stats_.mshrStalls;
+    }
+
+    /**
      * Demand store (write-allocate, writeback). Stores never stall the
      * core in this model: if no MSHR is free the miss is counted but
      * the fill is skipped.

@@ -11,7 +11,6 @@
 #include "base/profiler.hh"
 #include "base/progress.hh"
 #include "base/threadpool.hh"
-#include "base/tuning.hh"
 #include "sim/checkpoint.hh"
 
 namespace cbws
@@ -271,7 +270,6 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
     // because Trace::ensureDecoded() is not safe to race from the
     // simulation phase's concurrent cells; afterwards all kinds of a
     // row replay the same read-only buffers.
-    const bool batch_decode = Tuning::get().batchDecode;
     std::vector<Trace> traces(num_workloads);
     std::vector<char> trace_done(num_workloads, 0);
     {
@@ -290,8 +288,7 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
                                       seed};
             if (options.traceCache &&
                 options.traceCache->load(key, trace).ok()) {
-                if (batch_decode)
-                    trace.ensureDecoded();
+                trace.ensureDecoded();
                 trace_done[w] = 1;
                 meter.advance(true);
                 return;
@@ -303,8 +300,7 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
             }
             if (options.traceCache)
                 options.traceCache->store(key, trace);
-            if (batch_decode)
-                trace.ensureDecoded();
+            trace.ensureDecoded();
             trace_done[w] = 1;
             meter.advance(false);
         });

@@ -14,10 +14,9 @@
  * linear pass, into flat parallel arrays that all seven prefetcher
  * configurations of a matrix row then share read-only.
  *
- * Bit-identity: replaying from these buffers must be architecturally
- * invisible. tests/test_replay_opt.cc compares full simulation
- * results with the batch path on and off (CBWS_BATCH_DECODE gates
- * it at runtime, see base/tuning.hh).
+ * The core always replays from these buffers (OooCore::begin builds
+ * them on first use); the renaming column is what its ready list
+ * links producers by.
  */
 
 #ifndef CBWS_TRACE_DECODED_HH

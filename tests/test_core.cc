@@ -108,6 +108,52 @@ TEST(Core, StoreToLoadForwarding)
     EXPECT_LE(mem.stats().demandL2Accesses, 1u);
 }
 
+TEST(Core, YoungestOlderStoreDecidesForwarding)
+{
+    // Two older in-flight stores to line A: st1 issues at once, st2's
+    // data waits on a DRAM miss. The load of A must wait for st2 and
+    // forward from it, never from the already-issued st1. A store to
+    // line C younger than the load of C must be ignored: that load
+    // goes to the cache.
+    Trace t;
+    t.append(TraceRecord::alu(0x400000, 3));
+    t.append(TraceRecord::store(0x400004, 0x2000000, 3));    // st1: A
+    t.append(TraceRecord::load(0x400008, 0x3000000, 5));     // miss
+    t.append(TraceRecord::store(0x40000c, 0x2000008, 5));    // st2: A
+    t.append(TraceRecord::load(0x400010, 0x2000010, 6));     // A
+    t.append(TraceRecord::load(0x400014, 0x4000000, 7, 5));  // C
+    t.append(TraceRecord::store(0x400018, 0x4000008, 3));    // st3: C
+    for (int i = 0; i < 8; ++i)
+        t.append(TraceRecord::alu(0x40001c, 8, 6));
+    HierarchyParams hp;
+    Hierarchy mem(hp);
+    OooCore core(CoreParams(), mem);
+    Cycle miss_ready = 0;
+    bool load_c_reached_cache = false;
+    bool load_a_reached_cache = false;
+    AccessOutcome load_a;
+    auto st = core.run(
+        t, t.size(),
+        [&](const TraceRecord &rec, const AccessOutcome &out, Cycle) {
+            if (rec.pc == 0x400010)
+                load_a = out;
+        },
+        [&](const TraceRecord &rec, const AccessOutcome &out, Cycle) {
+            if (rec.pc == 0x400008)
+                miss_ready = out.readyAt;
+            load_a_reached_cache |= rec.pc == 0x400010;
+            load_c_reached_cache |= rec.pc == 0x400014;
+        });
+    EXPECT_EQ(st.instructions, t.size());
+    ASSERT_GT(miss_ready, Cycle(0));
+    EXPECT_FALSE(load_a_reached_cache);
+    EXPECT_TRUE(load_a.l1Hit);
+    // st2 issued once the miss returned; st1 would have forwarded
+    // long before.
+    EXPECT_GT(load_a.readyAt, miss_ready);
+    EXPECT_TRUE(load_c_reached_cache);
+}
+
 TEST(Core, MispredictsCostCycles)
 {
     auto run_with = [](bool predictable) {
@@ -262,6 +308,56 @@ TEST(Core, EmptyTrace)
     Trace t;
     auto st = core.run(t, 100);
     EXPECT_EQ(st.instructions, 0u);
+}
+
+TEST(Core, HugeBudgetDoesNotWrapTheCycleLimit)
+{
+    // The livelock guard is 300 cycles per instruction plus 100000.
+    // For a budget near 2^64 / 300 the product used to wrap to a
+    // limit of about 100000 cycles, which cut this 200k-cycle chain of
+    // dependent misses short as if the core had livelocked.
+    Trace t;
+    for (int i = 0; i < 600; ++i)
+        t.append(TraceRecord::load(0x400000, 0x1000000 + i * 4096, 3, 3));
+    HierarchyParams hp;
+    Hierarchy mem(hp);
+    OooCore core(CoreParams(), mem);
+    const std::uint64_t huge = 61489146912365172ull;
+    auto st = core.run(t, huge);
+    EXPECT_EQ(core.cycleLimit(), ~Cycle(0));
+    EXPECT_EQ(st.instructions, t.size());
+    EXPECT_GT(st.cycles, 150000u);
+
+    core.run(t, 1000);
+    EXPECT_EQ(core.cycleLimit(), Cycle(1000 * 300 + 100000));
+}
+
+TEST(Core, ZeroLatencyIsFatal)
+{
+    // The ready list wakes consumers only in a later cycle than their
+    // producer issued, so every completion must take >= 1 cycle.
+    auto run_with = [](CoreParams cp, HierarchyParams hp) {
+        Hierarchy mem(hp);
+        OooCore core(cp, mem);
+        core.run(independentAlus(8), 8);
+    };
+    const HierarchyParams hp;
+    CoreParams alu;
+    alu.intAluLatency = 0;
+    EXPECT_EXIT(run_with(alu, hp), testing::ExitedWithCode(1),
+                "latencies must be >= 1");
+    CoreParams mul;
+    mul.intMulLatency = 0;
+    EXPECT_EXIT(run_with(mul, hp), testing::ExitedWithCode(1),
+                "latencies must be >= 1");
+    CoreParams fp;
+    fp.fpLatency = 0;
+    EXPECT_EXIT(run_with(fp, hp), testing::ExitedWithCode(1),
+                "latencies must be >= 1");
+    HierarchyParams l1_zero;
+    l1_zero.l1d.latency = 0;
+    EXPECT_EXIT(run_with(CoreParams(), l1_zero),
+                testing::ExitedWithCode(1), "latencies must be >= 1");
 }
 
 } // anonymous namespace

@@ -298,5 +298,92 @@ TEST(Hierarchy, NextEventCycleTracksFills)
     EXPECT_LE(mem.nextEventCycle(), out.readyAt);
 }
 
+/**
+ * The property behind the core's MSHR-full retry memo. Once a load
+ * fails on a full L1D MSHR file, every retry of its line before
+ * l1dBlockedUntil() fails as well. With no prefetch queued it adds
+ * exactly one mshrStalls and changes no other statistic. With
+ * prefetches queued, the retry's tick() issues more of them, and
+ * repeatBlockedLoad() has to leave an identical hierarchy in the same
+ * state.
+ */
+void
+runBlockedLoadProperty(const char *dram, bool queue_prefetches)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << dram << (queue_prefetches ? " with" : " without")
+                 << " queued prefetches");
+    HierarchyParams p;
+    p.dramBackend = dram;
+    p.prefetchIssuePerCycle = 1;
+    Hierarchy retried(p);
+    Hierarchy replayed(p);
+    const Addr blocked = 0x900000;
+    for (Hierarchy *m : {&retried, &replayed}) {
+        for (unsigned i = 0; i < p.l1d.mshrs; ++i)
+            ASSERT_TRUE(m->load((i + 1) * 0x10000, 0).ok);
+        if (queue_prefetches) {
+            for (LineAddr l = 0; l < 24; ++l)
+                m->enqueuePrefetch(lineOf(0x800000) + l);
+        }
+        ASSERT_FALSE(m->load(blocked, 0).ok) << "MSHRs not saturated";
+    }
+    const Cycle until = retried.l1dBlockedUntil(0);
+    ASSERT_GT(until, Cycle(1));
+    ASSERT_EQ(until, replayed.l1dBlockedUntil(0));
+
+    for (Cycle c = 1; c < until; ++c) {
+        retried.tick(c);
+        replayed.tick(c);
+        HierarchyStats expect = retried.stats();
+        ++expect.mshrStalls;
+        ASSERT_FALSE(retried.load(blocked, c).ok) << "cycle " << c;
+        replayed.repeatBlockedLoad(c);
+        if (!queue_prefetches) {
+            ASSERT_EQ(retried.stats(), expect) << "cycle " << c;
+        }
+        ASSERT_EQ(retried.stats(), replayed.stats()) << "cycle " << c;
+    }
+    if (queue_prefetches) {
+        EXPECT_GT(retried.stats().prefetchesIssued, 0u)
+            << "the retries' ticks never issued a prefetch";
+    }
+}
+
+TEST(Hierarchy, BlockedLoadRetriesOnlyCountStallsFixedDram)
+{
+    runBlockedLoadProperty("fixed", false);
+    runBlockedLoadProperty("fixed", true);
+}
+
+TEST(Hierarchy, BlockedLoadRetriesOnlyCountStallsDdrDram)
+{
+    runBlockedLoadProperty("ddr", false);
+    runBlockedLoadProperty("ddr", true);
+}
+
+TEST(Hierarchy, L1dBlockedUntilIsZeroUnlessTheL1dFileIsFull)
+{
+    // Under prefetchToL1, L2 prefetch fills insert into the L1D at any
+    // cycle, so no retry can be proven to fail.
+    HierarchyParams to_l1;
+    to_l1.prefetchToL1 = true;
+    Hierarchy mem(to_l1);
+    for (unsigned i = 0; i < to_l1.l1d.mshrs; ++i)
+        ASSERT_TRUE(mem.load((i + 1) * 0x10000, 0).ok);
+    ASSERT_FALSE(mem.load(0x900000, 0).ok);
+    EXPECT_EQ(mem.l1dBlockedUntil(0), 0u);
+
+    // A load stalled by the L2 MSHR file leaves L1D MSHRs free.
+    HierarchyParams small_l2;
+    small_l2.l2.mshrs = 2;
+    small_l2.l1d.mshrs = 8;
+    Hierarchy l2_bound(small_l2);
+    for (unsigned i = 0; i < small_l2.l2.mshrs; ++i)
+        ASSERT_TRUE(l2_bound.load((i + 1) * 0x10000, 0).ok);
+    ASSERT_FALSE(l2_bound.load(0x900000, 0).ok);
+    EXPECT_EQ(l2_bound.l1dBlockedUntil(0), 0u);
+}
+
 } // anonymous namespace
 } // namespace cbws

@@ -334,6 +334,33 @@ TEST(Multicore, ProfileChargesTheCoreLoopToDecode)
                              << other << " s";
 }
 
+TEST(Multicore, ProfileSplitsTheCoreLoopIntoStages)
+{
+    // Every pipeline stage of every core gets its own phase, and the
+    // sampled split never charges the stages more than the loop spent
+    // (the phases still partition the thread's wall time).
+    const std::vector<std::string> mix = {"radix-simlarge",
+                                          "lbm-long"};
+    const std::vector<Trace> traces = {makeTrace(mix[0], 20000),
+                                       makeTrace(mix[1], 20000)};
+    const std::vector<const Trace *> core_traces = {&traces[0],
+                                                    &traces[1]};
+    prof::resetForTest();
+    prof::enable();
+    simulateMulti(core_traces, mix, contendedConfig(2), 20000);
+    const prof::Report rep = prof::report();
+    prof::resetForTest();
+    for (const prof::Phase stage :
+         {prof::Phase::Fetch, prof::Phase::Dispatch, prof::Phase::Issue,
+          prof::Phase::Commit}) {
+        const unsigned p = static_cast<unsigned>(stage);
+        EXPECT_GT(rep.phaseEntries[p], 0u) << prof::toString(stage);
+        EXPECT_GT(rep.phaseSeconds[p], 0.0) << prof::toString(stage);
+    }
+    EXPECT_NEAR(rep.mainThreadSeconds, rep.wallSeconds,
+                0.10 * rep.wallSeconds);
+}
+
 TEST(Multicore, CheckpointRoundTripsMulticoreCells)
 {
     const std::vector<std::string> mix = {"stencil-default", "nw"};

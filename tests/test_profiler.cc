@@ -205,6 +205,92 @@ TEST_F(ProfilerTest, SampledScopesExtrapolateAndStayZeroSum)
                 0.10 * rep.wallSeconds);
 }
 
+/**
+ * A loop whose iterations spend 0.1 ms in the loop phase itself,
+ * 0.1 ms in Issue and 0.2 ms in Commit, with a sampled Dram scope of
+ * 0.1 ms nested in Commit; one iteration in 8 is timed.
+ */
+prof::Report
+runStagedLoop(int iters)
+{
+    constexpr double kUnitSec = 0.0001;
+    {
+        PROF_SCOPE(prof::Phase::Decode);
+        prof::StageSampler sampler(prof::Phase::Decode, 8);
+        for (int i = 0; i < iters; ++i) {
+            sampler.beginIteration();
+            spinFor(kUnitSec);
+            prof::StageSwitch stage;
+            stage(prof::Phase::Issue);
+            spinFor(kUnitSec);
+            stage(prof::Phase::Commit);
+            spinFor(kUnitSec);
+            {
+                PROF_SCOPE_SAMPLED(prof::Phase::Dram, 1);
+                spinFor(kUnitSec);
+            }
+            spinFor(kUnitSec);
+        }
+    }
+    return prof::report();
+}
+
+TEST_F(ProfilerTest, StageSamplerSplitsTheLoopInMeasuredProportions)
+{
+#if CBWS_SANITIZED
+    GTEST_SKIP() << "timing bounds do not hold under sanitizers";
+#endif
+    // Only the timed iterations are measured, yet the loop's time must
+    // split 1:1:2 between Decode, Issue and Commit, the nested Dram
+    // scope must keep its own time, and the thread's phases must
+    // still partition the wall window. One preemption inside a timed
+    // interval skews a sample this small, so a run during which the
+    // process lost the CPU does not count.
+    constexpr int kIters = 128;
+    const double unit = kIters * 0.0001;
+    for (int attempt = 0; attempt < 5; ++attempt) {
+        prof::resetForTest();
+        prof::enable();
+        const prof::Report rep = runStagedLoop(kIters);
+        EXPECT_EQ(
+            rep.phaseEntries[static_cast<unsigned>(prof::Phase::Issue)],
+            static_cast<std::uint64_t>(kIters));
+        EXPECT_NEAR(rep.mainThreadSeconds, rep.wallSeconds,
+                    0.10 * rep.wallSeconds);
+        if (rep.cpuSeconds < 0.95 * rep.wallSeconds)
+            continue;
+        auto sec = [&](prof::Phase p) {
+            return rep.phaseSeconds[static_cast<unsigned>(p)];
+        };
+        EXPECT_NEAR(sec(prof::Phase::Decode), unit, 0.35 * unit);
+        EXPECT_NEAR(sec(prof::Phase::Issue), unit, 0.35 * unit);
+        EXPECT_NEAR(sec(prof::Phase::Commit), 2 * unit, 0.7 * unit);
+        EXPECT_NEAR(sec(prof::Phase::Dram), unit, 0.35 * unit);
+        return;
+    }
+    GTEST_SKIP() << "host too loaded: every run lost the CPU";
+}
+
+TEST_F(ProfilerTest, StageSwitchIsInertWithoutATimedIteration)
+{
+    // Profiling off, or no sampler on this thread: no phase changes.
+    {
+        prof::StageSwitch stage;
+        stage(prof::Phase::Issue);
+    }
+    prof::enable();
+    {
+        prof::StageSwitch stage;
+        stage(prof::Phase::Issue);
+        spinFor(0.001);
+    }
+    const prof::Report rep = prof::report();
+    EXPECT_EQ(rep.phaseEntries[static_cast<unsigned>(prof::Phase::Issue)],
+              0u);
+    EXPECT_EQ(rep.phaseSeconds[static_cast<unsigned>(prof::Phase::Issue)],
+              0.0);
+}
+
 TEST_F(ProfilerTest, EnableIsIdempotentAndSticky)
 {
     prof::enable();
