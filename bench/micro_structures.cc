@@ -14,7 +14,6 @@
 #include "cpu/branch_pred.hh"
 #include "core/multi_context.hh"
 #include "prefetch/ampm.hh"
-#include "prefetch/composite.hh"
 #include "prefetch/ghb.hh"
 #include "prefetch/sms.hh"
 #include "prefetch/stride.hh"

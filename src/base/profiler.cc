@@ -203,6 +203,7 @@ StageSampler::StageSampler(Phase loop, std::uint32_t period)
     active_ = true;
     outer_ = s.stageSampler;
     s.stageSampler = this;
+    s.stageTimed = false;
     chargedNow(begin_);
 }
 
@@ -212,6 +213,14 @@ StageSampler::chargedNow(std::array<std::int64_t, NumPhases> &out) const
     const detail::ThreadSlab &s = detail::slab();
     for (unsigned p = 0; p < NumPhases; ++p)
         out[p] = static_cast<std::int64_t>(s.ticks[p]) + s.adjust[p];
+}
+
+void
+StageSampler::ticksNow(std::array<std::int64_t, NumPhases> &out) const
+{
+    const detail::ThreadSlab &s = detail::slab();
+    for (unsigned p = 0; p < NumPhases; ++p)
+        out[p] = static_cast<std::int64_t>(s.ticks[p]);
 }
 
 void
@@ -225,16 +234,17 @@ StageSampler::startTimed()
     enter(loop_);
     probeTicks_ = std::min(probeTicks_, detail::slab().lastTsc - probe0);
     --intervals_[static_cast<unsigned>(loop_)];
-    chargedNow(iterBegin_);
+    ticksNow(iterBegin_);
     timed_ = true;
+    detail::slab().stageTimed = true;
 }
 
 void
 StageSampler::endTimed()
 {
-    accrue();
+    accrue().stageTimed = false;
     std::array<std::int64_t, NumPhases> now;
-    chargedNow(now);
+    ticksNow(now);
     for (unsigned p = 0; p < NumPhases; ++p)
         sampled_[p] += now[p] - iterBegin_[p];
     timed_ = false;
@@ -248,6 +258,7 @@ StageSampler::~StageSampler()
         endTimed();
     detail::ThreadSlab &s = accrue();
     s.stageSampler = outer_;
+    s.stageTimed = outer_ && outer_->timed_;
     if (probeTicks_ == ~std::uint64_t(0))
         return; // no iteration was timed
     std::array<std::int64_t, NumPhases> now;

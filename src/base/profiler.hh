@@ -112,6 +112,8 @@ struct ThreadSlab
     bool worker = false; ///< slab belongs to a pool worker thread
     /** Innermost live StageSampler of this thread. */
     StageSampler *stageSampler = nullptr;
+    /** That sampler is timing the current iteration. */
+    bool stageTimed = false;
 };
 
 /** Cached pointer to this thread's slab (set by slabSlow()). */
@@ -247,6 +249,11 @@ class ScopedPhase
  * phase totals still partition wall time exactly. Attribution is
  * statistical — use only where invocations do similar work, e.g.
  * per-access prefetcher training.
+ *
+ * Inside an iteration a StageSampler times, an invocation the counter
+ * skips is still timed, so the stage's ticks hold only its own time;
+ * at exit its time moves back to the enclosing phase through adjust,
+ * leaving every phase total as if it had not been timed.
  */
 class SampledScope
 {
@@ -257,25 +264,29 @@ class SampledScope
             detail::ThreadSlab &s = detail::slab();
             const unsigned p = static_cast<unsigned>(phase);
             if ((++s.sampleCtr[p] & mask) == 0) {
-                weight_ = mask + 1;
-                phase_ = p;
-                parent_ = static_cast<unsigned>(s.current);
-                ticks0_ = s.ticks[p];
-                detail::enterPhase(phase);
+                scale_ = mask;
+            } else if (s.stageTimed) {
+                scale_ = -1;
             } else {
                 ++s.entries[p];
+                return;
             }
+            active_ = true;
+            phase_ = p;
+            parent_ = static_cast<unsigned>(s.current);
+            ticks0_ = s.ticks[p];
+            detail::enterPhase(phase);
         }
     }
 
     ~SampledScope()
     {
-        if (weight_ != 0) {
+        if (active_) {
             detail::exitPhase();
             detail::ThreadSlab &s = detail::slab();
             const std::int64_t extra =
                 static_cast<std::int64_t>(s.ticks[phase_] - ticks0_) *
-                (weight_ - 1);
+                scale_;
             s.adjust[phase_] += extra;
             s.adjust[parent_] -= extra;
         }
@@ -286,7 +297,10 @@ class SampledScope
 
   private:
     std::uint64_t ticks0_ = 0;
-    std::uint32_t weight_ = 0;
+    /** Extra multiples of the measured time the phase gains from its
+     *  parent: mask when sampled, -1 to undo a stage-timed one. */
+    std::int64_t scale_ = 0;
+    bool active_ = false;
     unsigned phase_ = 0;
     unsigned parent_ = 0;
 };
@@ -307,10 +321,14 @@ class SampledScope
  * probe measured in place (two back-to-back switch points at the
  * start of each timed iteration; the fastest probe counts).
  * Per-thread phase totals therefore still partition wall time, and a
- * stage can never be charged more than the loop spent. Sampled
- * scopes nested in a stage adjust that stage, and the split includes
- * their adjustments. Attribution is statistical and only holds for a
- * loop that runs many iterations.
+ * stage can never be charged more than the loop spent. The
+ * proportions come from the stages' own ticks: every sampled scope
+ * nested in a timed iteration is timed (see SampledScope), and the
+ * extrapolations of sampled scopes nested in a stage come out of the
+ * total being split, not out of the measurement, so a 1-in-N scope
+ * whose counter happens to line up with the period cannot skew it.
+ * Attribution is statistical and only holds for a loop that runs many
+ * iterations.
  */
 class StageSampler
 {
@@ -379,6 +397,8 @@ class StageSampler
 
     /** Ticks charged to every phase so far (ticks + adjustments). */
     void chargedNow(std::array<std::int64_t, NumPhases> &out) const;
+    /** Ticks measured per phase so far (no adjustments). */
+    void ticksNow(std::array<std::int64_t, NumPhases> &out) const;
 
     Phase loop_;
     std::uint32_t period_;
@@ -387,10 +407,11 @@ class StageSampler
     /** Iterations until the next timed one. */
     std::uint32_t countdown_;
     StageSampler *outer_ = nullptr;
-    /** Charged totals when the sampler / the timed iteration began. */
+    /** Charged totals when the sampler began, and measured ticks
+     *  when the timed iteration began. */
     std::array<std::int64_t, NumPhases> begin_{};
     std::array<std::int64_t, NumPhases> iterBegin_{};
-    /** Summed over timed iterations: ticks charged per phase, and
+    /** Summed over timed iterations: ticks measured per phase, and
      *  the intervals each phase was charged. */
     std::array<std::int64_t, NumPhases> sampled_{};
     std::array<std::uint64_t, NumPhases> intervals_{};

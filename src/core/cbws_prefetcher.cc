@@ -251,13 +251,4 @@ cbwsParamSchema()
                "random-eviction seed for the differential table");
 }
 
-CBWS_REGISTER_PREFETCHER(cbws, "CBWS",
-                         "code block working set prefetcher (the "
-                         "paper's scheme)",
-                         cbwsParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<CbwsPrefetcher>(
-                                 p.getOr<CbwsParams>());
-                         })
-
 } // namespace cbws

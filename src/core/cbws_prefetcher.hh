@@ -17,7 +17,7 @@
  *
  * The standalone CBWS prefetcher issues prefetches *only* on a history
  * table hit — its confidence rule — and is otherwise silent, which is
- * what the CBWS+SMS composite exploits for fallback.
+ * what the CBWS add-on (CBWS+SMS) exploits for fallback.
  */
 
 #ifndef CBWS_CORE_CBWS_PREFETCHER_HH
@@ -107,7 +107,7 @@ class CbwsPrefetcher : public Prefetcher
 
     /**
      * Did the most recent BLOCK_END produce at least one prediction?
-     * The CBWS+SMS composite gates the SMS fallback on this.
+     * The CBWS add-on gates its base (SMS in CBWS+SMS) on this.
      */
     bool lastBlockPredicted() const { return lastBlockPredicted_; }
 

@@ -15,10 +15,11 @@
  * and an FR-FCFS-style scheduler that deprioritises prefetch-sourced
  * requests under queue pressure.
  *
- * Backends register by name in a string-keyed registry (mirroring
- * PrefetcherRegistry) from their own translation units; consumers
- * select one via HierarchyParams::dramBackend ("fixed" is the
- * default) or the `cbws-sim --dram <backend>` flag.
+ * Backends are listed by name in one constant table beside Hierarchy
+ * (hierarchy.cc); consumers select one via
+ * HierarchyParams::dramBackend ("fixed" is the default) or the
+ * `cbws-sim --dram <backend>` flag. Adding a backend is one row in
+ * that table plus its make…Backend() factory.
  *
  * Contract required of every backend:
  *  - Deterministic: completion cycles are a pure function of the
@@ -36,14 +37,10 @@
 #define CBWS_MEM_DRAM_BACKEND_HH
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "base/logging.hh"
 #include "base/result.hh"
 #include "base/types.hh"
 
@@ -125,27 +122,7 @@ struct DramStats
     }
 
     /** Exact equality (determinism assertions in tests). */
-    bool
-    operator==(const DramStats &o) const
-    {
-        return reads == o.reads && writes == o.writes &&
-               rowHits == o.rowHits && rowMisses == o.rowMisses &&
-               rowClosed == o.rowClosed &&
-               activates == o.activates &&
-               fawStalls == o.fawStalls &&
-               refreshStalls == o.refreshStalls &&
-               prefetchesDeferred == o.prefetchesDeferred &&
-               deferralCycles == o.deferralCycles &&
-               readQueueFullStalls == o.readQueueFullStalls &&
-               writeDrains == o.writeDrains &&
-               busBusyCycles == o.busBusyCycles &&
-               readQueueDepthSum == o.readQueueDepthSum &&
-               writeQueueDepthSum == o.writeQueueDepthSum &&
-               bankRowHits == o.bankRowHits &&
-               bankRowMisses == o.bankRowMisses;
-    }
-
-    bool operator!=(const DramStats &o) const { return !(*this == o); }
+    bool operator==(const DramStats &) const = default;
 };
 
 /**
@@ -196,151 +173,35 @@ class DramBackend
     DramStats stats_;
 };
 
+/** The flat-latency backend (fixed.cc). */
+std::unique_ptr<DramBackend> makeFixedBackend(const HierarchyParams &params);
+
+/** The banked DDR timing model (ddr.cc). */
+std::unique_ptr<DramBackend> makeDdrBackend(const HierarchyParams &params);
+
 /**
- * String-keyed backend registry, mirroring PrefetcherRegistry: each
- * backend registers a factory from its own translation unit, lookup
- * is case-insensitive, and duplicates warn instead of replacing.
- * Fully inline for the same archive-layout reasons (see
- * prefetch/registry.hh).
+ * Name-keyed queries over the constant backend table beside
+ * Hierarchy (hierarchy.cc). Lookup is case-insensitive.
  */
 class DramBackendRegistry
 {
   public:
-    using Factory = std::function<std::unique_ptr<DramBackend>(
-        const HierarchyParams &params)>;
-
-    bool
-    add(const std::string &name, const std::string &description,
-        Factory factory)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto [it, inserted] = entries_.emplace(
-            canon(name),
-            Entry{name, description, std::move(factory)});
-        (void)it;
-        if (!inserted)
-            warn("dram backend registry: duplicate registration of "
-                 "'%s' ignored",
-                 name.c_str());
-        return inserted;
-    }
-
-    /** Instantiate the backend registered under @p name
-     *  (case-insensitive). NotFound lists the registered names. */
+    /** Instantiate the backend named @p name (case-insensitive).
+     *  NotFound lists the registered names. */
     Result<std::unique_ptr<DramBackend>>
-    create(const std::string &name,
-           const HierarchyParams &params) const
-    {
-        Factory factory;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const auto it = entries_.find(canon(name));
-            if (it != entries_.end())
-                factory = it->second.factory;
-        }
-        if (!factory) {
-            std::string known;
-            for (const auto &n : names())
-                known += (known.empty() ? "" : ", ") + n;
-            return Error(Errc::NotFound,
-                         "no DRAM backend registered as '" + name +
-                             "' (registered: " + known + ")");
-        }
-        return factory(params);
-    }
+    create(const std::string &name, const HierarchyParams &params) const;
 
-    bool
-    contains(const std::string &name) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return entries_.count(canon(name)) != 0;
-    }
+    bool contains(const std::string &name) const;
 
     /** Canonical names, sorted (stable `--dram help` output). */
-    std::vector<std::string>
-    names() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        std::vector<std::string> out;
-        out.reserve(entries_.size());
-        for (const auto &entry : entries_)
-            out.push_back(entry.second.name);
-        return out; // map order == sorted canonical order
-    }
+    std::vector<std::string> names() const;
 
-    /** Registered description of @p name (empty when unknown). */
-    std::string
-    describe(const std::string &name) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = entries_.find(canon(name));
-        return it == entries_.end() ? std::string()
-                                    : it->second.description;
-    }
-
-  private:
-    struct Entry
-    {
-        std::string name; ///< canonical display form
-        std::string description;
-        Factory factory;
-    };
-
-    static std::string
-    canon(const std::string &name)
-    {
-        std::string out;
-        out.reserve(name.size());
-        for (char c : name)
-            out.push_back(c >= 'A' && c <= 'Z'
-                              ? static_cast<char>(c - 'A' + 'a')
-                              : c);
-        return out;
-    }
-
-    mutable std::mutex mutex_;
-    std::map<std::string, Entry> entries_; ///< canon(name) -> entry
+    /** Description of @p name (empty when unknown). */
+    std::string describe(const std::string &name) const;
 };
 
-/** The process-wide registry (safe across static initialisers). */
-inline DramBackendRegistry &
-dramBackendRegistry()
-{
-    static DramBackendRegistry registry;
-    return registry;
-}
-
-/**
- * Self-registration from a backend's translation unit:
- *
- *   CBWS_REGISTER_DRAM_BACKEND(fixed, "fixed", "flat latency",
- *       [](const HierarchyParams &p) {
- *           return std::make_unique<FixedDramBackend>(p);
- *       })
- *
- * @p tag is a C identifier naming the linker anchor.
- */
-#define CBWS_REGISTER_DRAM_BACKEND(tag, name, description, ...)        \
-    extern "C" char cbwsDramBackendAnchor_##tag;                       \
-    char cbwsDramBackendAnchor_##tag = 0;                              \
-    namespace {                                                        \
-    const bool cbwsDramBackendReg_##tag [[maybe_unused]] =             \
-        ::cbws::dramBackendRegistry().add(name, description,           \
-                                          __VA_ARGS__);                \
-    }
-
-/**
- * Pin a backend's registration TU into the link (static-archive
- * caveat; see prefetch/registry.hh). Lives in an always-linked TU of
- * the consumer — hierarchy.cc pins the built-ins.
- */
-#define CBWS_FORCE_LINK_DRAM_BACKEND(tag)                              \
-    extern "C" char cbwsDramBackendAnchor_##tag;                       \
-    namespace {                                                        \
-    [[gnu::used, maybe_unused]] const char                             \
-        *const cbwsDramBackendPin_##tag =                              \
-            &cbwsDramBackendAnchor_##tag;                              \
-    }
+/** The process-wide registry. */
+const DramBackendRegistry &dramBackendRegistry();
 
 } // namespace cbws
 

@@ -297,14 +297,10 @@ DdrBackend::writeQueueDepth(Cycle now) const
     return depth;
 }
 
-CBWS_REGISTER_DRAM_BACKEND(
-    ddr, "ddr",
-    "cycle-level banked model: channels/ranks/banks, open-page rows, "
-    "tRCD/tRP/tCL/tFAW/refresh, read/write queues with write-drain, "
-    "FR-FCFS-style scheduling that defers prefetches under queue "
-    "pressure",
-    [](const HierarchyParams &params) {
-        return std::make_unique<DdrBackend>(params);
-    })
+std::unique_ptr<DramBackend>
+makeDdrBackend(const HierarchyParams &params)
+{
+    return std::make_unique<DdrBackend>(params);
+}
 
 } // namespace cbws

@@ -63,13 +63,10 @@ class FixedDramBackend : public DramBackend
 
 } // anonymous namespace
 
-CBWS_REGISTER_DRAM_BACKEND(
-    fixed, "fixed",
-    "flat latency (Table II: 300 cycles) + optional legacy "
-    "min-interval throttle; the default, bit-identical to the "
-    "paper's model",
-    [](const HierarchyParams &params) {
-        return std::make_unique<FixedDramBackend>(params);
-    })
+std::unique_ptr<DramBackend>
+makeFixedBackend(const HierarchyParams &params)
+{
+    return std::make_unique<FixedDramBackend>(params);
+}
 
 } // namespace cbws

@@ -1,6 +1,8 @@
 #include "mem/hierarchy.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <strings.h>
 
 #include "base/debug.hh"
 #include "base/logging.hh"
@@ -32,12 +34,83 @@ className(DemandClass cls)
     }
 }
 
+struct Backend
+{
+    const char *name; ///< canonical display form
+    const char *description;
+    std::unique_ptr<DramBackend> (*factory)(const HierarchyParams &);
+};
+
+/** Every DRAM backend, in name order (the `--dram help` order). */
+constexpr Backend Backends[] = {
+    {"ddr",
+     "cycle-level banked model: channels/ranks/banks, open-page rows, "
+     "tRCD/tRP/tCL/tFAW/refresh, read/write queues with write-drain, "
+     "FR-FCFS-style scheduling that defers prefetches under queue "
+     "pressure",
+     makeDdrBackend},
+    {"fixed",
+     "flat latency (Table II: 300 cycles) + optional legacy "
+     "min-interval throttle; the default, bit-identical to the "
+     "paper's model",
+     makeFixedBackend},
+};
+
+/** The row named @p name (case-insensitive); nullptr when unknown. */
+const Backend *
+findBackend(const std::string &name)
+{
+    for (const Backend &backend : Backends)
+        if (std::strlen(backend.name) == name.size() &&
+            strcasecmp(backend.name, name.c_str()) == 0)
+            return &backend;
+    return nullptr;
+}
+
 } // anonymous namespace
 
-// The built-in backends live in their own TUs inside a static
-// archive; pin them into any link that uses the hierarchy.
-CBWS_FORCE_LINK_DRAM_BACKEND(fixed)
-CBWS_FORCE_LINK_DRAM_BACKEND(ddr)
+Result<std::unique_ptr<DramBackend>>
+DramBackendRegistry::create(const std::string &name,
+                            const HierarchyParams &params) const
+{
+    if (const Backend *backend = findBackend(name))
+        return backend->factory(params);
+    std::string known;
+    for (const Backend &backend : Backends)
+        known += (known.empty() ? "" : ", ") + std::string(backend.name);
+    return Error(Errc::NotFound, "no DRAM backend registered as '" +
+                                     name + "' (registered: " + known +
+                                     ")");
+}
+
+bool
+DramBackendRegistry::contains(const std::string &name) const
+{
+    return findBackend(name) != nullptr;
+}
+
+std::vector<std::string>
+DramBackendRegistry::names() const
+{
+    std::vector<std::string> out;
+    for (const Backend &backend : Backends)
+        out.push_back(backend.name);
+    return out;
+}
+
+std::string
+DramBackendRegistry::describe(const std::string &name) const
+{
+    const Backend *backend = findBackend(name);
+    return backend ? backend->description : std::string();
+}
+
+const DramBackendRegistry &
+dramBackendRegistry()
+{
+    static const DramBackendRegistry registry{};
+    return registry;
+}
 
 Hierarchy::Hierarchy(const HierarchyParams &params)
     : params_(params),

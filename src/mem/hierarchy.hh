@@ -121,17 +121,7 @@ struct PrefetchLifecycle
                       : 0.0;
     }
 
-    bool
-    operator==(const PrefetchLifecycle &o) const
-    {
-        return issued == o.issued && dropped == o.dropped &&
-               merged == o.merged && filled == o.filled &&
-               demandHitTimely == o.demandHitTimely &&
-               demandHitLate == o.demandHitLate &&
-               evictedUnused == o.evictedUnused &&
-               residentAtEnd == o.residentAtEnd &&
-               latenessCycles == o.latenessCycles;
-    }
+    bool operator==(const PrefetchLifecycle &) const = default;
 
     void
     add(const PrefetchLifecycle &o)
@@ -178,21 +168,7 @@ struct CoreMemStats
     /** Shared-L2 lines owned by this core at finalize(). */
     std::uint64_t l2ResidentLines = 0;
 
-    bool
-    operator==(const CoreMemStats &o) const
-    {
-        return l1dAccesses == o.l1dAccesses &&
-               l1dMisses == o.l1dMisses &&
-               l1iAccesses == o.l1iAccesses &&
-               l1iMisses == o.l1iMisses &&
-               demandL2Accesses == o.demandL2Accesses &&
-               llcDemandMisses == o.llcDemandMisses &&
-               prefetchesRequested == o.prefetchesRequested &&
-               prefetchesIssued == o.prefetchesIssued &&
-               pollutionVictimMisses == o.pollutionVictimMisses &&
-               pollutionCausedMisses == o.pollutionCausedMisses &&
-               l2ResidentLines == o.l2ResidentLines;
-    }
+    bool operator==(const CoreMemStats &) const = default;
 };
 
 /** Aggregate statistics of the hierarchy. */
@@ -264,45 +240,9 @@ struct HierarchyStats
         return total;
     }
 
-    /** Exact memberwise equality (the struct holds vectors now, so
-     *  memcmp no longer works; tests assert determinism with this). */
-    bool
-    operator==(const HierarchyStats &o) const
-    {
-        for (int c = 0; c < static_cast<int>(DemandClass::NumClasses);
-             ++c)
-            if (classCounts[c] != o.classCounts[c])
-                return false;
-        for (unsigned b = 0; b < LatenessBuckets; ++b)
-            if (latenessHist[b] != o.latenessHist[b])
-                return false;
-        for (unsigned s = 0; s < NumPfSources; ++s)
-            if (!(pfLife[s] == o.pfLife[s]))
-                return false;
-        return l1dAccesses == o.l1dAccesses &&
-               l1dMisses == o.l1dMisses &&
-               l1iAccesses == o.l1iAccesses &&
-               l1iMisses == o.l1iMisses &&
-               demandL2Accesses == o.demandL2Accesses &&
-               llcDemandMisses == o.llcDemandMisses &&
-               wrongPrefetches == o.wrongPrefetches &&
-               prefetchesRequested == o.prefetchesRequested &&
-               prefetchesIssued == o.prefetchesIssued &&
-               prefetchesFiltered == o.prefetchesFiltered &&
-               prefetchesDropped == o.prefetchesDropped &&
-               dramBytesRead == o.dramBytesRead &&
-               dramBytesWritten == o.dramBytesWritten &&
-               mshrStalls == o.mshrStalls &&
-               crossCorePollutionMisses == o.crossCorePollutionMisses &&
-               l2BankConflicts == o.l2BankConflicts &&
-               perCore == o.perCore && dram == o.dram;
-    }
-
-    bool
-    operator!=(const HierarchyStats &o) const
-    {
-        return !(*this == o);
-    }
+    /** Exact memberwise equality (tests assert determinism with
+     *  this; defaulted, so a new counter cannot be left out). */
+    bool operator==(const HierarchyStats &) const = default;
 };
 
 /**

@@ -1,8 +1,6 @@
 #include "prefetch/addon.hh"
 
 #include "base/logging.hh"
-#include "prefetch/ampm.hh"
-#include "prefetch/registry.hh"
 
 namespace cbws
 {
@@ -10,8 +8,7 @@ namespace cbws
 namespace
 {
 
-/** Sink wrapper dropping issues while muted (shared with the SMS
- *  composite's semantics). */
+/** Sink wrapper dropping issues while muted. */
 class MutedSink : public PrefetchSink
 {
   public:
@@ -98,18 +95,5 @@ CbwsAddOnPrefetcher::name() const
 {
     return "CBWS+" + base_->name();
 }
-
-CBWS_REGISTER_PREFETCHER(cbws_ampm, "CBWS+AMPM",
-                         "CBWS gating an AMPM base prefetcher",
-                         ParamSchema()
-                             .scoped("cbws", cbwsParamSchema())
-                             .scoped("ampm", ampmParamSchema()),
-                         [](const ParamSet &p) {
-                             return std::make_unique<
-                                 CbwsAddOnPrefetcher>(
-                                 std::make_unique<AmpmPrefetcher>(
-                                     p.getOr<AmpmParams>()),
-                                 p.getOr<CbwsParams>());
-                         })
 
 } // namespace cbws

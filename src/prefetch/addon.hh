@@ -1,15 +1,17 @@
 /**
  * @file
- * Generic CBWS add-on: the paper designs CBWS "as an add-on component"
- * that happens to be integrated with SMS in the evaluation. This
- * wrapper realises the general form — CBWS handles annotated tight
- * loops, and *any* base prefetcher acts as the fallback under exactly
- * the integrated policy ("CBWS issues a prefetch only if the current
- * access pattern hits in the history table; otherwise the base
+ * The CBWS add-on: the paper designs CBWS "as an add-on component"
+ * and evaluates it integrated with SMS. This wrapper realises that
+ * form over *any* base prefetcher — CBWS handles annotated tight
+ * loops, and the base acts as the fallback under the integrated
+ * policy ("the CBWS prefetcher issues a prefetch only if the current
+ * access pattern hits in the history table. Otherwise, the SMS
  * prefetcher issues the prefetch").
  *
- * CbwsSmsPrefetcher remains the paper-faithful, fixed SMS pairing;
- * this class powers the extension bench (CBWS+AMPM etc.).
+ * The base keeps training on every access (so its patterns stay
+ * warm), but its *issues* are suppressed while execution is inside a
+ * block whose CBWS history is currently predicting. The registry
+ * builds "CBWS+SMS" (Section VI) and "CBWS+AMPM" from it.
  */
 
 #ifndef CBWS_PREFETCH_ADDON_HH

@@ -105,12 +105,4 @@ ampmParamSchema()
                "zone tag width (storage accounting)");
 }
 
-CBWS_REGISTER_PREFETCHER(ampm, "AMPM",
-                         "access map pattern matching prefetcher",
-                         ampmParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<AmpmPrefetcher>(
-                                 p.getOr<AmpmParams>());
-                         })
-
 } // namespace cbws

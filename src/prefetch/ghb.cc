@@ -170,24 +170,4 @@ ghbParamSchema()
                "delta field width (storage accounting)");
 }
 
-CBWS_REGISTER_PREFETCHER(ghb_pc_dc, "GHB-PC/DC",
-                         "global history buffer, per-PC delta "
-                         "correlation",
-                         ghbParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<GhbPrefetcher>(
-                                 GhbPrefetcher::Mode::PcDC,
-                                 p.getOr<GhbParams>());
-                         })
-
-CBWS_REGISTER_PREFETCHER(ghb_g_dc, "GHB-G/DC",
-                         "global history buffer, global delta "
-                         "correlation",
-                         ghbParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<GhbPrefetcher>(
-                                 GhbPrefetcher::Mode::GlobalDC,
-                                 p.getOr<GhbParams>());
-                         })
-
 } // namespace cbws

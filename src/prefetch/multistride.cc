@@ -155,14 +155,4 @@ multistrideParamSchema()
                "delta field width (storage accounting)");
 }
 
-CBWS_REGISTER_PREFETCHER(multistride, "Multistride",
-                         "IP-indexed multi-stride hybrid (Blom et "
-                         "al.)",
-                         multistrideParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<
-                                 MultistridePrefetcher>(
-                                 p.getOr<MultistrideParams>());
-                         })
-
 } // namespace cbws

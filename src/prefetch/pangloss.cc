@@ -208,14 +208,4 @@ panglossParamSchema()
                "page tag width (storage accounting)");
 }
 
-CBWS_REGISTER_PREFETCHER(pangloss, "Pangloss",
-                         "per-page Markov chain over line deltas, "
-                         "compressed transition table",
-                         panglossParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<
-                                 PanglossPrefetcher>(
-                                 p.getOr<PanglossParams>());
-                         })
-
 } // namespace cbws

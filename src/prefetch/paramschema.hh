@@ -130,7 +130,7 @@ parseParamValue(const std::string &text, M &out)
 
 /**
  * Ordered set of key -> struct-member bindings for one scheme. Built
- * at registration time next to the factory; see file comment.
+ * by the scheme's row in the registry table; see file comment.
  *
  * The apply functions capture only member pointers, so a schema is
  * cheap to copy and safe to hand out by value.

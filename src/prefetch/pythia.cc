@@ -220,13 +220,4 @@ pythiaParamSchema()
                "per-weight width (storage accounting)");
 }
 
-CBWS_REGISTER_PREFETCHER(pythia, "Pythia",
-                         "online-RL prefetcher: pluggable features, "
-                         "discrete actions, shaped rewards",
-                         pythiaParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<PythiaPrefetcher>(
-                                 p.getOr<PythiaParams>());
-                         })
-
 } // namespace cbws

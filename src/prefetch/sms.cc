@@ -227,12 +227,4 @@ smsParamSchema()
                "pattern width in Table III's budget");
 }
 
-CBWS_REGISTER_PREFETCHER(sms, "SMS",
-                         "spatial memory streaming prefetcher",
-                         smsParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<SmsPrefetcher>(
-                                 p.getOr<SmsParams>());
-                         })
-
 } // namespace cbws

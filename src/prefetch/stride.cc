@@ -92,12 +92,4 @@ strideParamSchema()
                "stride field width (storage accounting)");
 }
 
-CBWS_REGISTER_PREFETCHER(stride, "Stride",
-                         "reference-prediction-table stride prefetcher",
-                         strideParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<StridePrefetcher>(
-                                 p.getOr<StrideParams>());
-                         })
-
 } // namespace cbws

@@ -6,23 +6,6 @@
 namespace cbws
 {
 
-// Every built-in scheme self-registers from its own translation unit.
-// Those TUs live in static archives and nothing else references them,
-// so pin their anchor symbols here (cbws_sim is first on the link
-// line) to keep the linker from dropping the registrations.
-CBWS_FORCE_LINK_PREFETCHER(none)
-CBWS_FORCE_LINK_PREFETCHER(stride)
-CBWS_FORCE_LINK_PREFETCHER(ghb_pc_dc)
-CBWS_FORCE_LINK_PREFETCHER(ghb_g_dc)
-CBWS_FORCE_LINK_PREFETCHER(sms)
-CBWS_FORCE_LINK_PREFETCHER(ampm)
-CBWS_FORCE_LINK_PREFETCHER(cbws)
-CBWS_FORCE_LINK_PREFETCHER(cbws_sms)
-CBWS_FORCE_LINK_PREFETCHER(cbws_ampm)
-CBWS_FORCE_LINK_PREFETCHER(multistride)
-CBWS_FORCE_LINK_PREFETCHER(pangloss)
-CBWS_FORCE_LINK_PREFETCHER(pythia)
-
 std::vector<std::string>
 allSchemeNames()
 {

@@ -4,6 +4,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <strings.h>
 
 #include "base/debug.hh"
 #include "base/faultinject.hh"
@@ -94,35 +95,12 @@ clearMatrixInterrupt()
     g_matrix_interrupt.store(false, std::memory_order_relaxed);
 }
 
-namespace
-{
-
-/** Case-insensitive scheme-name comparison (registry canon rule). */
-bool
-sameScheme(const std::string &a, const std::string &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const char ca = a[i] >= 'A' && a[i] <= 'Z'
-                            ? static_cast<char>(a[i] - 'A' + 'a')
-                            : a[i];
-        const char cb = b[i] >= 'A' && b[i] <= 'Z'
-                            ? static_cast<char>(b[i] - 'A' + 'a')
-                            : b[i];
-        if (ca != cb)
-            return false;
-    }
-    return true;
-}
-
-} // anonymous namespace
-
 std::size_t
 ExperimentMatrix::column(const std::string &scheme) const
 {
     for (std::size_t k = 0; k < schemes.size(); ++k)
-        if (sameScheme(schemes[k], scheme))
+        if (schemes[k].size() == scheme.size() &&
+            strcasecmp(schemes[k].c_str(), scheme.c_str()) == 0)
             return k;
     panic("scheme '%s' not in matrix", scheme.c_str());
 }

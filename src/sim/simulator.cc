@@ -6,7 +6,6 @@
 #include "base/profiler.hh"
 #include "cpu/inorder.hh"
 #include "prefetch/addon.hh"
-#include "prefetch/composite.hh"
 #include "sim/snapshot.hh"
 
 namespace cbws
@@ -47,8 +46,6 @@ cbwsComponent(Prefetcher *prefetcher)
 {
     if (auto *p = dynamic_cast<CbwsPrefetcher *>(prefetcher))
         return p;
-    if (auto *c = dynamic_cast<CbwsSmsPrefetcher *>(prefetcher))
-        return &c->cbws();
     if (auto *a = dynamic_cast<CbwsAddOnPrefetcher *>(prefetcher))
         return &a->cbws();
     return nullptr;

@@ -24,31 +24,22 @@ struct TraceFileHeader
 constexpr char TraceMagic[4] = {'C', 'B', 'T', '1'};
 constexpr char TraceMagic2[4] = {'C', 'B', 'T', '2'};
 
-/** LEB128-style unsigned varint. */
-void
-putVarint(std::FILE *f, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        std::fputc(static_cast<int>((v & 0x7f) | 0x80), f);
-        v >>= 7;
-    }
-    std::fputc(static_cast<int>(v), f);
-}
+/** Smallest encoded CBT2 record: class, taken, a one-byte PC delta
+ *  varint and the four register/size bytes. */
+constexpr std::uint64_t MinEncodedRecordBytes = 7;
 
-bool
-getVarint(std::FILE *f, std::uint64_t &v)
+/** Bytes from @p f's position to its end; 0 when it cannot seek
+ *  (trace files are regular files, never pipes). */
+std::uint64_t
+remainingBytes(std::FILE *f)
 {
-    v = 0;
-    unsigned shift = 0;
-    while (true) {
-        const int c = std::fgetc(f);
-        if (c == EOF || shift >= 64)
-            return false;
-        v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-        if (!(c & 0x80))
-            return true;
-        shift += 7;
-    }
+    const long pos = std::ftell(f);
+    if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0)
+        return 0;
+    const long end = std::ftell(f);
+    if (std::fseek(f, pos, SEEK_SET) != 0 || end < pos)
+        return 0;
+    return static_cast<std::uint64_t>(end - pos);
 }
 
 /** Zigzag encoding maps small signed deltas to small varints. */
@@ -146,6 +137,32 @@ Trace::saveTo(const std::string &path) const
 namespace tracecodec
 {
 
+void
+putVarint(std::FILE *f, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        std::fputc(static_cast<int>((v & 0x7f) | 0x80), f);
+        v >>= 7;
+    }
+    std::fputc(static_cast<int>(v), f);
+}
+
+bool
+getVarint(std::FILE *f, std::uint64_t &v)
+{
+    v = 0;
+    unsigned shift = 0;
+    while (true) {
+        const int c = std::fgetc(f);
+        if (c == EOF || shift >= 64)
+            return false;
+        v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
+        if (!(c & 0x80))
+            return true;
+        shift += 7;
+    }
+}
+
 bool
 writeBody(std::FILE *f, const std::vector<TraceRecord> &records)
 {
@@ -182,7 +199,10 @@ bool
 readBody(std::FILE *f, std::vector<TraceRecord> &records)
 {
     std::uint64_t count = 0;
-    if (!getVarint(f, count))
+    // A count the rest of the file cannot hold is corrupt; trusting
+    // it would let one flipped byte demand an impossible allocation.
+    if (!getVarint(f, count) ||
+        count > remainingBytes(f) / MinEncodedRecordBytes)
         return false;
     records.clear();
     records.reserve(count);
@@ -281,7 +301,8 @@ Trace::loadFrom(const std::string &path)
         std::memcpy(hdr.magic, magic, sizeof(magic));
         ok = std::fread(&hdr.recordSize,
                         sizeof(hdr) - sizeof(hdr.magic), 1, f) == 1 &&
-             hdr.recordSize == sizeof(TraceRecord);
+             hdr.recordSize == sizeof(TraceRecord) &&
+             hdr.numRecords <= remainingBytes(f) / sizeof(TraceRecord);
         if (ok) {
             records_.resize(hdr.numRecords);
             if (hdr.numRecords > 0) {

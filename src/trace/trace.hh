@@ -22,21 +22,29 @@ namespace cbws
 struct DecodedTrace;
 
 /**
- * The CBT2 record codec (per-field delta + varint encoding), shared
- * by Trace::saveCompressed/loadFrom and the on-disk trace cache.
+ * The CBT2 record codec (per-field delta + varint encoding) and its
+ * varints, shared by Trace::saveCompressed/loadFrom and the on-disk
+ * trace cache.
  * Both operate on an already-positioned stdio stream: the caller
  * owns the surrounding magic/header bytes.
  */
 namespace tracecodec
 {
 
+/** Append @p v as an LEB128-style unsigned varint. */
+void putVarint(std::FILE *f, std::uint64_t v);
+
+/** Read a varint written by putVarint(); false on EOF or overflow. */
+bool getVarint(std::FILE *f, std::uint64_t &v);
+
 /** Append the record count + encoded records to @p f. */
 bool writeBody(std::FILE *f, const std::vector<TraceRecord> &records);
 
 /**
  * Decode a body written by writeBody() into @p records (replacing
- * its contents). Returns false on EOF/corruption; @p records is then
- * in an unspecified state and the caller must discard it.
+ * its contents). Returns false on EOF/corruption, including a record
+ * count the rest of the file is too short to hold; @p records is
+ * then in an unspecified state and the caller must discard it.
  */
 bool readBody(std::FILE *f, std::vector<TraceRecord> &records);
 

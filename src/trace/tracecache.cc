@@ -21,31 +21,8 @@ namespace
 constexpr char CacheMagic[4] = {'C', 'B', 'T', 'C'};
 constexpr std::uint32_t CacheVersion = 1;
 
-void
-putVarint(std::FILE *f, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        std::fputc(static_cast<int>((v & 0x7f) | 0x80), f);
-        v >>= 7;
-    }
-    std::fputc(static_cast<int>(v), f);
-}
-
-bool
-getVarint(std::FILE *f, std::uint64_t &v)
-{
-    v = 0;
-    unsigned shift = 0;
-    while (true) {
-        const int c = std::fgetc(f);
-        if (c == EOF || shift >= 64)
-            return false;
-        v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-        if (!(c & 0x80))
-            return true;
-        shift += 7;
-    }
-}
+using tracecodec::getVarint;
+using tracecodec::putVarint;
 
 void
 putString(std::FILE *f, const std::string &s)

@@ -1,14 +1,18 @@
 /**
  * @file
- * Unit tests for the integrated CBWS+SMS prefetcher: the fallback
- * policy ("CBWS issues only on a history-table hit; otherwise SMS
- * issues") and storage accounting.
+ * Unit tests for the integrated CBWS+SMS prefetcher — the CBWS add-on
+ * over an SMS base: the fallback policy ("CBWS issues only on a
+ * history-table hit; otherwise SMS issues") and storage accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "base/random.hh"
-#include "prefetch/composite.hh"
+#include "prefetch/addon.hh"
+#include "prefetch/registry.hh"
+#include "prefetch/sms.hh"
 #include "test_util.hh"
 
 namespace cbws
@@ -19,9 +23,16 @@ namespace
 using test::MockSink;
 using test::memCtx;
 
+/** CBWS+SMS with Table II parameters, as the registry builds it. */
+CbwsAddOnPrefetcher
+cbwsSms()
+{
+    return CbwsAddOnPrefetcher(std::make_unique<SmsPrefetcher>());
+}
+
 TEST(CbwsSms, SmsActsOutsideBlocks)
 {
-    CbwsSmsPrefetcher pf;
+    CbwsAddOnPrefetcher pf = cbwsSms();
     MockSink sink;
     // Train SMS outside any block.
     SmsParams sp;
@@ -48,7 +59,7 @@ TEST(CbwsSms, SmsActsOutsideBlocks)
 
 TEST(CbwsSms, CbwsPredictsInsideConfidentBlocks)
 {
-    CbwsSmsPrefetcher pf;
+    CbwsAddOnPrefetcher pf = cbwsSms();
     MockSink sink;
     for (unsigned b = 0; b < 24; ++b) {
         pf.blockBegin(1, sink);
@@ -61,7 +72,7 @@ TEST(CbwsSms, CbwsPredictsInsideConfidentBlocks)
 
 TEST(CbwsSms, SmsMutedWhileCbwsConfident)
 {
-    CbwsSmsPrefetcher pf;
+    CbwsAddOnPrefetcher pf = cbwsSms();
     MockSink sink;
     // Make CBWS confident on a trivial repeating block.
     for (unsigned b = 0; b < 24; ++b) {
@@ -70,7 +81,7 @@ TEST(CbwsSms, SmsMutedWhileCbwsConfident)
         pf.blockEnd(1, sink);
     }
     ASSERT_TRUE(pf.cbws().lastBlockPredicted());
-    const auto suppressed_before = pf.suppressedSmsIssues();
+    const auto suppressed_before = pf.suppressedBaseIssues();
 
     // Now, inside a confident block, drive accesses that would make
     // SMS issue (a previously learned trigger would be required;
@@ -88,7 +99,7 @@ TEST(CbwsSms, SmsMutedWhileCbwsConfident)
     pf.observeAccess(memCtx(0x900, 401 * 2048), sink);
     // Either SMS had nothing to issue, or its issues were suppressed
     // — but nothing may reach the sink from SMS while muted.
-    EXPECT_GE(pf.suppressedSmsIssues(), suppressed_before);
+    EXPECT_GE(pf.suppressedBaseIssues(), suppressed_before);
     for (LineAddr l : sink.issued) {
         // Any line issued inside the block must come from CBWS's
         // stream (around line 5000), not SMS regions (~12800+).
@@ -98,7 +109,7 @@ TEST(CbwsSms, SmsMutedWhileCbwsConfident)
 
 TEST(CbwsSms, FallsBackWhenCbwsCannotPredict)
 {
-    CbwsSmsPrefetcher pf;
+    CbwsAddOnPrefetcher pf = cbwsSms();
     MockSink sink;
     Random rng(3);
     // Random blocks: CBWS never becomes confident.
@@ -122,7 +133,7 @@ TEST(CbwsSms, FallsBackWhenCbwsCannotPredict)
 
 TEST(CbwsSms, StorageIsSumOfComponents)
 {
-    CbwsSmsPrefetcher pf;
+    CbwsAddOnPrefetcher pf = cbwsSms();
     CbwsPrefetcher cbws;
     SmsPrefetcher sms;
     EXPECT_EQ(pf.storageBits(),
@@ -131,7 +142,12 @@ TEST(CbwsSms, StorageIsSumOfComponents)
 
 TEST(CbwsSms, Name)
 {
-    EXPECT_EQ(CbwsSmsPrefetcher().name(), "CBWS+SMS");
+    EXPECT_EQ(cbwsSms().name(), "CBWS+SMS");
+    auto built = prefetcherRegistry().create("CBWS+SMS");
+    ASSERT_TRUE(built.ok());
+    EXPECT_EQ(built.value()->name(), "CBWS+SMS");
+    EXPECT_NE(dynamic_cast<CbwsAddOnPrefetcher *>(built.value().get()),
+              nullptr);
 }
 
 } // anonymous namespace

@@ -64,6 +64,8 @@ TEST(DramRegistry, BuiltinsAreRegistered)
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "ddr"),
               names.end());
+    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()))
+        << "`--dram help` lists the table in name order";
     EXPECT_FALSE(dramBackendRegistry().describe("ddr").empty());
 }
 

@@ -271,6 +271,78 @@ TEST_F(ProfilerTest, StageSamplerSplitsTheLoopInMeasuredProportions)
     GTEST_SKIP() << "host too loaded: every run lost the CPU";
 }
 
+/**
+ * A loop whose iterations spend 0.1 ms each in the loop phase, Issue
+ * and Commit, with a 0.2 ms Dram scope nested in Commit and sampled
+ * one in two. One iteration in 8 is timed, an even period, so the Dram
+ * scope's counter lines up with it: with @p skew_dram (one Dram entry
+ * before the loop) no timed iteration times the Dram scope, otherwise
+ * every one does.
+ */
+prof::Report
+runAlignedLoop(int iters, bool skew_dram)
+{
+    constexpr double kUnitSec = 0.0001;
+    {
+        PROF_SCOPE(prof::Phase::Decode);
+        if (skew_dram) {
+            PROF_SCOPE_SAMPLED(prof::Phase::Dram, 1);
+        }
+        prof::StageSampler sampler(prof::Phase::Decode, 8);
+        for (int i = 0; i < iters; ++i) {
+            sampler.beginIteration();
+            spinFor(kUnitSec);
+            prof::StageSwitch stage;
+            stage(prof::Phase::Issue);
+            spinFor(kUnitSec);
+            stage(prof::Phase::Commit);
+            spinFor(kUnitSec);
+            {
+                PROF_SCOPE_SAMPLED(prof::Phase::Dram, 1);
+                spinFor(2 * kUnitSec);
+            }
+        }
+    }
+    return prof::report();
+}
+
+TEST_F(ProfilerTest, StageSamplerIgnoresSampledScopesAlignedWithItsPeriod)
+{
+#if CBWS_SANITIZED
+    GTEST_SKIP() << "timing bounds do not hold under sanitizers";
+#endif
+    // Whether or not the nested Dram scope's 1-in-2 counter picks it in
+    // the timed iterations, the stages must split 1:1:1: a stage's
+    // sample is its own time, neither the nested scope's time nor its
+    // extrapolation. 128 timed iterations keep one time slice lost
+    // inside a sample well under the tolerance, and runs that lost the
+    // CPU do not count, as above.
+    constexpr int kIters = 1024;
+    const double unit = kIters * 0.0001;
+    for (const bool skew : {false, true}) {
+        SCOPED_TRACE(skew ? "Dram untimed in timed iterations"
+                          : "Dram timed in timed iterations");
+        bool measured = false;
+        for (int attempt = 0; attempt < 5 && !measured; ++attempt) {
+            prof::resetForTest();
+            prof::enable();
+            const prof::Report rep = runAlignedLoop(kIters, skew);
+            if (rep.cpuSeconds < 0.95 * rep.wallSeconds)
+                continue;
+            measured = true;
+            auto sec = [&](prof::Phase p) {
+                return rep.phaseSeconds[static_cast<unsigned>(p)];
+            };
+            EXPECT_NEAR(sec(prof::Phase::Decode), unit, 0.35 * unit);
+            EXPECT_NEAR(sec(prof::Phase::Issue), unit, 0.35 * unit);
+            EXPECT_NEAR(sec(prof::Phase::Commit), unit, 0.35 * unit);
+            EXPECT_NEAR(sec(prof::Phase::Dram), 2 * unit, 0.7 * unit);
+        }
+        if (!measured)
+            GTEST_SKIP() << "host too loaded: every run lost the CPU";
+    }
+}
+
 TEST_F(ProfilerTest, StageSwitchIsInertWithoutATimedIteration)
 {
     // Profiling off, or no sampler on this thread: no phase changes.

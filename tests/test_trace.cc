@@ -197,5 +197,67 @@ TEST(TraceFile, CorruptMagicRejected)
     std::remove(path.c_str());
 }
 
+/** Write @p bytes to a fresh temp file named @p name; its path. */
+std::string
+writeFile(const char *name, const std::string &bytes)
+{
+    const std::string path = testing::TempDir() + name;
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+    return path;
+}
+
+TEST(TraceFile, CompressedCountBeyondFileIsCorrupt)
+{
+    // A CBT2 record takes at least 7 bytes, so a count the rest of
+    // the file cannot hold is corrupt rather than an allocation.
+    // 13 bytes: the magic and a record count of 2^62 as a varint.
+    const std::string huge("CBT2\x80\x80\x80\x80\x80\x80\x80\x80\x40",
+                           13);
+
+    // Two minimal (IntAlu, all-zero) records' bytes claimed as three.
+    const std::string two_records(14, '\0');
+    const std::string short_body = std::string("CBT2\x03", 5) + two_records;
+
+    for (const std::string &bytes : {huge, short_body}) {
+        const std::string path = writeFile("cbws_trace_count.bin", bytes);
+        Trace t;
+        t.append(TraceRecord::alu(1, 1)); // must be cleared
+        Result<void> r = t.loadFrom(path);
+        EXPECT_EQ(r.code(), Errc::Corrupt);
+        EXPECT_TRUE(t.empty());
+        std::remove(path.c_str());
+    }
+
+    // The same bytes claimed as two load: the bound is exact.
+    const std::string path = writeFile(
+        "cbws_trace_count.bin", std::string("CBT2\x02", 5) + two_records);
+    Trace t;
+    ASSERT_TRUE(t.loadFrom(path));
+    EXPECT_EQ(t.size(), 2u);
+    std::remove(path.c_str());
+}
+
+TEST(TraceFile, RawCountBeyondFileIsCorrupt)
+{
+    // A CBT1 header claiming 2^40 records over a one-record body.
+    struct
+    {
+        char magic[4] = {'C', 'B', 'T', '1'};
+        std::uint32_t recordSize = sizeof(TraceRecord);
+        std::uint64_t numRecords = 1ull << 40;
+    } hdr;
+    std::string bytes(reinterpret_cast<const char *>(&hdr), sizeof(hdr));
+    bytes.append(sizeof(TraceRecord), '\0');
+    const std::string path = writeFile("cbws_trace_raw_count.bin", bytes);
+    Trace t;
+    Result<void> r = t.loadFrom(path);
+    EXPECT_EQ(r.code(), Errc::Corrupt);
+    EXPECT_TRUE(t.empty());
+    std::remove(path.c_str());
+}
+
 } // anonymous namespace
 } // namespace cbws

@@ -156,6 +156,46 @@ TEST_F(TraceCacheTest, CorruptMagicIsAMiss)
     EXPECT_FALSE(cache.load(key, loaded));
 }
 
+TEST_F(TraceCacheTest, CorruptRecordCountIsAMissUntilRestored)
+{
+    TraceCache cache(dir_);
+    const TraceCache::Key key{"fft-simlarge", 6000, 42};
+    const Trace original = makeTrace();
+    ASSERT_TRUE(cache.store(key, original));
+
+    // The entry ends in the same body saveCompressed writes after its
+    // 4-byte magic, so the record count starts where that body does.
+    const std::string cbt2 = dir_ + "/body.cbt";
+    ASSERT_TRUE(original.saveCompressed(cbt2));
+    auto size_of = [](const std::string &p) {
+        std::FILE *f = std::fopen(p.c_str(), "rb");
+        std::fseek(f, 0, SEEK_END);
+        const long n = std::ftell(f);
+        std::fclose(f);
+        return n;
+    };
+    const long body_at = size_of(cache.pathFor(key)) - (size_of(cbt2) - 4);
+    ASSERT_GT(body_at, 0);
+
+    std::FILE *f = std::fopen(cache.pathFor(key).c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, body_at, SEEK_SET);
+    tracecodec::putVarint(f, 1ull << 62);
+    std::fclose(f);
+
+    Trace loaded;
+    Result<void> r = cache.load(key, loaded);
+    EXPECT_EQ(r.code(), Errc::Corrupt);
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_EQ(cache.misses(), 1u);
+
+    // Re-synthesis stores a good entry, which then hits.
+    ASSERT_TRUE(cache.store(key, original));
+    ASSERT_TRUE(cache.load(key, loaded));
+    EXPECT_TRUE(tracesEqual(original, loaded));
+    EXPECT_EQ(cache.hits(), 1u);
+}
+
 TEST_F(TraceCacheTest, StoreThenLoadOverwrites)
 {
     TraceCache cache(dir_);
