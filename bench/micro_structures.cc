@@ -12,7 +12,6 @@
 
 #include "core/cbws_prefetcher.hh"
 #include "cpu/branch_pred.hh"
-#include "core/multi_context.hh"
 #include "prefetch/ampm.hh"
 #include "prefetch/ghb.hh"
 #include "prefetch/sms.hh"
@@ -133,25 +132,6 @@ BM_AmpmObserve(benchmark::State &state)
 BENCHMARK(BM_AmpmObserve);
 
 void
-BM_MultiContextBlock(benchmark::State &state)
-{
-    CbwsMultiContextPrefetcher pf;
-    NullSink sink;
-    std::uint64_t b = 0;
-    for (auto _ : state) {
-        const BlockId id = static_cast<BlockId>(b % 4);
-        pf.blockBegin(id, sink);
-        PrefetchContext ctx;
-        ctx.addr = (100000ull * (id + 1) + b * 64) * 64;
-        ctx.line = lineOf(ctx.addr);
-        pf.observeCommit(ctx, sink);
-        pf.blockEnd(id, sink);
-        ++b;
-    }
-}
-BENCHMARK(BM_MultiContextBlock);
-
-void
 BM_BranchPredictor(benchmark::State &state)
 {
     TournamentBP bp;
@@ -185,27 +165,6 @@ BM_SimulatorThroughput(benchmark::State &state)
                             params.maxInstructions);
 }
 BENCHMARK(BM_SimulatorThroughput)->Unit(benchmark::kMillisecond);
-
-void
-BM_InOrderThroughput(benchmark::State &state)
-{
-    auto w = findWorkload("stencil-default");
-    WorkloadParams params;
-    params.maxInstructions = 20000;
-    Trace trace;
-    w->generate(trace, params);
-    SystemConfig config;
-    config.coreModel = CoreModel::InOrder;
-    config.scheme = "CBWS+SMS";
-    for (auto _ : state) {
-        SimResult r = simulate(trace, config,
-                               params.maxInstructions);
-        benchmark::DoNotOptimize(r.core.cycles);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            params.maxInstructions);
-}
-BENCHMARK(BM_InOrderThroughput)->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
 

@@ -1,8 +1,11 @@
 #include "base/argparse.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+
+#include "base/logging.hh"
 
 namespace cbws
 {
@@ -132,14 +135,21 @@ ArgParser::getUint(const std::string &name,
                    std::uint64_t fallback) const
 {
     const Option *opt = find(name);
-    if (!opt || opt->value.empty())
+    if (!opt)
         return fallback;
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(opt->value.c_str(), &end, 10);
-    if (end == opt->value.c_str() || *end != '\0')
-        return fallback;
-    return v;
+    const std::string &text = opt->value;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+    // Plain decimal digits only: strtoull alone would also take a sign
+    // (wrapping "-1" to 2^64-1) and leading whitespace.
+    if (!text.empty() && errno != ERANGE &&
+        text.find_first_not_of("0123456789") == std::string::npos)
+        return v;
+    // A bad declared default falls back; a bad user value is an error.
+    fatal_if(opt->set, "%s: --%s expects an unsigned decimal integer "
+             "up to 2^64-1, got '%s'",
+             program_.c_str(), name.c_str(), text.c_str());
+    return fallback;
 }
 
 std::vector<std::string>

@@ -55,7 +55,12 @@ class ArgParser
     /** Value of option @p name (its default when not given). */
     std::string get(const std::string &name) const;
 
-    /** Option parsed as an unsigned integer; @p fallback on errors. */
+    /**
+     * Option parsed as a plain unsigned decimal integer. A value given
+     * on the command line that is not one (a sign, a suffix, empty, or
+     * out of range) is a fatal() error naming the option; an
+     * unparsable or empty declared default yields @p fallback.
+     */
     std::uint64_t getUint(const std::string &name,
                           std::uint64_t fallback = 0) const;
 

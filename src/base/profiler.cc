@@ -73,8 +73,7 @@ describe(Phase phase)
       case Phase::TraceSynthesis:
         return "workload kernels synthesising trace records";
       case Phase::Decode:
-        return "core cycle loop: driver, hierarchy tick, in-order "
-               "core";
+        return "core cycle loop: driver, hierarchy tick";
       case Phase::CacheLookup:
         return "L1-miss / L2 demand processing (L1 hits: caller)";
       case Phase::PfObserve:

@@ -35,19 +35,11 @@ std::vector<std::string> extendedSchemeNames();
 /** Every scheme in the registry (the tournament roster), sorted. */
 std::vector<std::string> zooSchemeNames();
 
-/** Which core timing model drives the simulation. */
-enum class CoreModel
-{
-    OutOfOrder, ///< Table II's 4-wide OoO core (the paper's setup)
-    InOrder,    ///< scalar stall-on-use core (extension)
-};
-
 /**
  * Full simulated-system configuration; defaults reproduce Table II.
  */
 struct SystemConfig
 {
-    CoreModel coreModel = CoreModel::OutOfOrder;
     CoreParams core;
     HierarchyParams mem;
 

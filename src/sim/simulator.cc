@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "base/profiler.hh"
-#include "cpu/inorder.hh"
 #include "prefetch/addon.hh"
 #include "sim/snapshot.hh"
 
@@ -133,9 +132,6 @@ simulateMulti(const std::vector<const Trace *> &traces,
              "simulateMulti: %zu traces but %zu workload names",
              traces.size(), workload_names.size());
     const unsigned n = static_cast<unsigned>(traces.size());
-    fatal_if(n > 1 && config.coreModel == CoreModel::InOrder,
-             "simulateMulti: multi-core requires the out-of-order "
-             "core model");
 
     HierarchyParams mem_params = config.mem;
     mem_params.numCores = n;
@@ -224,34 +220,25 @@ simulateMulti(const std::vector<const Trace *> &traces,
         };
     }
 
-    std::vector<CoreStats> core_stats;
-    if (config.coreModel == CoreModel::InOrder) {
-        InOrderCore inorder(config.core, mem);
-        inorder.setTraceSink(probes.trace);
-        core_stats.push_back(inorder.run(*traces[0], max_insts,
-                                         hooks[0].commit, hooks[0].access,
-                                         warmup_insts, hooks[0].warmup));
-    } else {
-        std::vector<std::unique_ptr<OooCore>> cores;
-        std::vector<OooCore *> order;
-        for (unsigned c = 0; c < n; ++c) {
-            cores.push_back(std::make_unique<OooCore>(config.core, mem, c));
-            order.push_back(cores[c].get());
-            cores[c]->setTraceSink(probes.trace);
-            cores[c]->setCommitHookMask(
-                commitMaskFor(c == 0 && probes.snapshot != nullptr));
-            cores[c]->begin(*traces[c], max_insts, hooks[c].commit,
-                            hooks[c].access, warmup_insts,
-                            hooks[c].warmup);
-        }
-        // A core whose trace ends before its warmup boundary still
-        // releases the shared reset. A lone core has nothing to
-        // release: its whole run stays in the statistics.
-        std::function<void(unsigned, Cycle)> on_done;
-        if (n > 1)
-            on_done = cross_warmup;
-        core_stats = runCores(order, mem, on_done);
+    std::vector<std::unique_ptr<OooCore>> cores;
+    std::vector<OooCore *> order;
+    for (unsigned c = 0; c < n; ++c) {
+        cores.push_back(std::make_unique<OooCore>(config.core, mem, c));
+        order.push_back(cores[c].get());
+        cores[c]->setTraceSink(probes.trace);
+        cores[c]->setCommitHookMask(
+            commitMaskFor(c == 0 && probes.snapshot != nullptr));
+        cores[c]->begin(*traces[c], max_insts, hooks[c].commit,
+                        hooks[c].access, warmup_insts, hooks[c].warmup);
     }
+    // A core whose trace ends before its warmup boundary still
+    // releases the shared reset. A lone core has nothing to release:
+    // its whole run stays in the statistics.
+    std::function<void(unsigned, Cycle)> on_done;
+    if (n > 1)
+        on_done = cross_warmup;
+    const std::vector<CoreStats> core_stats =
+        runCores(order, mem, on_done);
 
     mem.finalize();
 

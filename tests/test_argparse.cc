@@ -101,6 +101,39 @@ TEST(ArgParser, BadUintFallsBack)
     EXPECT_EQ(p.getUint("insts", 77), 77u);
 }
 
+/** Parse `--insts=<value>` and read it back; a bad value must exit. */
+void
+readInsts(const char *arg)
+{
+    ArgParser p("prog", "test");
+    p.addOption("insts", "n", "1000");
+    if (parseWith(p, {arg}))
+        p.getUint("insts", 77);
+}
+
+TEST(ArgParser, MalformedUserUintIsFatal)
+{
+    // A suffix, a sign, an empty value and an overflow each exit
+    // naming the option instead of falling back or wrapping.
+    EXPECT_EXIT(readInsts("--insts=20k"), testing::ExitedWithCode(1),
+                "--insts.*'20k'");
+    EXPECT_EXIT(readInsts("--insts=-1"), testing::ExitedWithCode(1),
+                "--insts.*'-1'");
+    EXPECT_EXIT(readInsts("--insts="), testing::ExitedWithCode(1),
+                "--insts.*''");
+    EXPECT_EXIT(readInsts("--insts=99999999999999999999"),
+                testing::ExitedWithCode(1),
+                "--insts.*'99999999999999999999'");
+}
+
+TEST(ArgParser, UserUintLargestValueAccepted)
+{
+    ArgParser p("prog", "test");
+    p.addOption("insts", "n", "0");
+    EXPECT_TRUE(parseWith(p, {"--insts=18446744073709551615"}));
+    EXPECT_EQ(p.getUint("insts"), ~std::uint64_t(0));
+}
+
 TEST(ArgParser, HelpGenerated)
 {
     ArgParser p("prog", "my description");

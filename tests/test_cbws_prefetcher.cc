@@ -123,6 +123,21 @@ TEST(CbwsPrefetcher, BlockIdSwitchClearsContext)
     EXPECT_EQ(pf.schemeStats().tableHits, hits_before);
 }
 
+TEST(CbwsPrefetcher, StrictlyAlternatingBlocksNeverHit)
+{
+    // The single-context unit clears its history on every block-id
+    // switch, so two strictly alternating loops never build the two
+    // consecutive differentials a table lookup needs.
+    CbwsPrefetcher pf;
+    MockSink sink;
+    for (unsigned b = 0; b < 40; ++b) {
+        runBlock(pf, sink, 1, {10000 + b * 4ull});
+        runBlock(pf, sink, 2, {900000 + b * 8ull});
+    }
+    EXPECT_EQ(pf.schemeStats().tableHits, 0u);
+    EXPECT_TRUE(sink.issued.empty());
+}
+
 TEST(CbwsPrefetcher, TruncationAtSixteenLines)
 {
     CbwsPrefetcher pf;

@@ -155,7 +155,7 @@ TEST_P(PrefetcherPropertyTest, LifecycleConservationLaws)
     //   filled == demandHitTimely + demandHitLate
     //             + evictedUnused + residentAtEnd
     //
-    // across several workloads and both core models.
+    // across several workloads.
     for (const char *wname :
          {"433.milc-su3imp", "sgemm-medium", "fft-simlarge"}) {
         auto w = findWorkload(wname);
@@ -165,38 +165,33 @@ TEST_P(PrefetcherPropertyTest, LifecycleConservationLaws)
         Trace t;
         w->generate(t, params);
 
-        for (CoreModel model :
-             {CoreModel::OutOfOrder, CoreModel::InOrder}) {
-            SystemConfig cfg;
-            cfg.scheme = GetParam().name();
-            cfg.coreModel = model;
-            SimResult r = simulate(t, cfg, params.maxInstructions,
-                                   SimProbes(), /*warmup_insts=*/0);
+        SystemConfig cfg;
+        cfg.scheme = GetParam().name();
+        SimResult r = simulate(t, cfg, params.maxInstructions,
+                               SimProbes(), /*warmup_insts=*/0);
 
-            std::uint64_t any_issued = 0;
-            for (unsigned s = 0; s < NumPfSources; ++s) {
-                const PrefetchLifecycle &life = r.mem.pfLife[s];
-                const char *src =
-                    toString(static_cast<PfSource>(s));
-                EXPECT_EQ(life.issued,
-                          life.dropped + life.merged + life.filled)
-                    << wname << " src=" << src;
-                EXPECT_EQ(life.filled,
-                          life.demandHitTimely + life.demandHitLate +
-                              life.evictedUnused + life.residentAtEnd)
-                    << wname << " src=" << src;
-                any_issued += life.issued;
-            }
-            // The lifecycle view must agree with the flat counters.
-            EXPECT_EQ(any_issued, r.mem.prefetchesRequested);
-            const PrefetchLifecycle total = r.mem.pfLifeTotal();
-            EXPECT_EQ(total.filled, r.mem.prefetchesIssued);
-            // The lateness histogram records one entry per demand hit.
-            std::uint64_t hist = 0;
-            for (unsigned b = 0; b < LatenessBuckets; ++b)
-                hist += r.mem.latenessHist[b];
-            EXPECT_EQ(hist, total.demandHits());
+        std::uint64_t any_issued = 0;
+        for (unsigned s = 0; s < NumPfSources; ++s) {
+            const PrefetchLifecycle &life = r.mem.pfLife[s];
+            const char *src = toString(static_cast<PfSource>(s));
+            EXPECT_EQ(life.issued,
+                      life.dropped + life.merged + life.filled)
+                << wname << " src=" << src;
+            EXPECT_EQ(life.filled,
+                      life.demandHitTimely + life.demandHitLate +
+                          life.evictedUnused + life.residentAtEnd)
+                << wname << " src=" << src;
+            any_issued += life.issued;
         }
+        // The lifecycle view must agree with the flat counters.
+        EXPECT_EQ(any_issued, r.mem.prefetchesRequested);
+        const PrefetchLifecycle total = r.mem.pfLifeTotal();
+        EXPECT_EQ(total.filled, r.mem.prefetchesIssued);
+        // The lateness histogram records one entry per demand hit.
+        std::uint64_t hist = 0;
+        for (unsigned b = 0; b < LatenessBuckets; ++b)
+            hist += r.mem.latenessHist[b];
+        EXPECT_EQ(hist, total.demandHits());
     }
 }
 
@@ -378,11 +373,6 @@ TEST_P(SimulatorFuzzTest, RandomTraceRunsToCompletion)
     SimResult r = simulate(t, cfg, 5000);
     EXPECT_EQ(r.core.instructions, 5000u);
     EXPECT_GT(r.core.cycles, 0u);
-
-    // The in-order core must also survive the same stream.
-    cfg.coreModel = CoreModel::InOrder;
-    SimResult io = simulate(t, cfg, 5000);
-    EXPECT_EQ(io.core.instructions, 5000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -70,36 +70,6 @@ memCtx(Addr pc, Addr addr, bool is_write = false, bool l1_hit = false,
 }
 
 /**
- * Replay a trace's memory records and block markers straight into a
- * prefetcher (no core, no hierarchy) using @p sink.
- */
-inline void
-replayTrace(const Trace &trace, Prefetcher &pf, PrefetchSink &sink)
-{
-    for (const auto &rec : trace) {
-        switch (rec.cls) {
-          case InstClass::BlockBegin:
-            pf.blockBegin(rec.blockId, sink);
-            break;
-          case InstClass::BlockEnd:
-            pf.blockEnd(rec.blockId, sink);
-            break;
-          case InstClass::Load:
-          case InstClass::Store: {
-            PrefetchContext ctx =
-                memCtx(rec.pc, rec.effAddr,
-                       rec.cls == InstClass::Store);
-            pf.observeAccess(ctx, sink);
-            pf.observeCommit(ctx, sink);
-            break;
-          }
-          default:
-            break;
-        }
-    }
-}
-
-/**
  * Every cell of @p matrix, row-major, through the report's toJson:
  * the byte-identity yardstick for resumed, sharded and merged runs.
  */

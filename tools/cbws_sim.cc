@@ -153,13 +153,6 @@ applyOverrides(const ArgParser &args, SystemConfig &config)
 }
 
 void
-applyCoreModel(const ArgParser &args, SystemConfig &config)
-{
-    if (args.getFlag("inorder"))
-        config.coreModel = CoreModel::InOrder;
-}
-
-void
 printHuman(const SimResult &r)
 {
     // Aggregate loopCycles sums every core's count while cycles is
@@ -304,8 +297,6 @@ main(int argc, char **argv)
     args.addFlag("csv", "machine-readable CSV output");
     args.addFlag("json", "machine-readable JSON output");
     args.addFlag("stats", "gem5-style full statistics dump");
-    args.addFlag("inorder",
-                 "use the scalar in-order core model (extension)");
     args.addOption("cores",
                    "cores sharing the L2 and DRAM (multi-core mode "
                    "when > 1)",
@@ -431,10 +422,15 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // The run and system-config options are read before any trace is
+    // synthesised, so a malformed value among them fails fast.
     const std::uint64_t insts = args.getUint("insts", 120000);
     const std::uint64_t warmup =
         args.provided("warmup") ? args.getUint("warmup", 0)
                                 : insts / 4;
+    const std::uint64_t seed = args.getUint("seed", 42);
+    SystemConfig base_config;
+    applyOverrides(args, base_config);
 
     // Multi-core mode: cache line owners are tracked in a byte, and
     // trace/save flags operate on the one single-core trace.
@@ -445,12 +441,6 @@ main(int argc, char **argv)
         return 1;
     }
     if (num_cores > 1) {
-        if (args.getFlag("inorder")) {
-            std::fprintf(stderr,
-                         "--cores > 1 needs the out-of-order core "
-                         "model (drop --inorder)\n");
-            return 1;
-        }
         if (args.provided("load-trace") ||
             args.provided("save-trace") ||
             args.getFlag("auto-annotate")) {
@@ -532,7 +522,7 @@ main(int argc, char **argv)
             auto workload = std::move(found).value();
             WorkloadParams params;
             params.maxInstructions = insts;
-            params.seed = args.getUint("seed", 42);
+            params.seed = seed;
             PROF_SCOPE(prof::Phase::TraceSynthesis);
             workload->generate(core_storage[u], params);
         }
@@ -559,7 +549,7 @@ main(int argc, char **argv)
         }
         WorkloadParams params;
         params.maxInstructions = insts;
-        params.seed = args.getUint("seed", 42);
+        params.seed = seed;
         {
             PROF_SCOPE(prof::Phase::TraceSynthesis);
             workload->generate(trace, params);
@@ -695,11 +685,9 @@ main(int argc, char **argv)
 
     std::vector<SimResult> results;
     for (const std::string &scheme_name : schemes) {
-        SystemConfig config;
+        SystemConfig config = base_config;
         config.scheme = scheme_name;
         config.pfOpts = pf_opts;
-        applyOverrides(args, config);
-        applyCoreModel(args, config);
         MetricsRegistry scheme_metrics;
         SimProbes probes;
         probes.snapshot = snapshot.get();
