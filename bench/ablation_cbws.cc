@@ -9,10 +9,13 @@
  *    compiler-hint aggressiveness claim of Section II).
  *
  * Each sweep runs the standalone CBWS prefetcher on a small set of
- * benchmarks chosen to expose the parameter.
+ * benchmarks chosen to expose the parameter, tuned through the same
+ * `key=value` options as `cbws-sim --pf-opt`.
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "base/table.hh"
 #include "common.hh"
@@ -24,13 +27,13 @@ namespace
 {
 
 SimResult
-runCbws(const std::string &workload, const CbwsParams &params,
-        std::uint64_t insts)
+runCbws(const std::string &workload,
+        const std::vector<std::string> &pf_opts, std::uint64_t insts)
 {
     auto w = findWorkload(workload);
     SystemConfig config;
     config.scheme = "CBWS";
-    config.cbws = params;
+    config.pfOpts = pf_opts;
     WorkloadParams wp;
     wp.maxInstructions = insts;
     return simulateWorkload(*w, config, wp, SimProbes(), insts / 4);
@@ -45,8 +48,8 @@ sweepTableSize(std::uint64_t insts)
     t.header({"entries", "fft IPC", "fft MPKI", "streamcl IPC",
               "sgemm IPC"});
     for (unsigned entries : {4u, 8u, 16u, 32u, 64u}) {
-        CbwsParams p;
-        p.tableEntries = entries;
+        const std::vector<std::string> p = {
+            "table-entries=" + std::to_string(entries)};
         auto fft = runCbws("fft-simlarge", p, insts);
         auto sc = runCbws("streamcluster-simlarge", p, insts);
         auto sg = runCbws("sgemm-medium", p, insts);
@@ -68,8 +71,8 @@ sweepVectorMembers(std::uint64_t insts)
     t.header({"members", "bzip2 IPC", "bzip2 MPKI", "lbm IPC",
               "stencil IPC"});
     for (unsigned members : {4u, 8u, 16u, 32u, 64u}) {
-        CbwsParams p;
-        p.maxVectorMembers = members;
+        const std::vector<std::string> p = {
+            "max-vector-members=" + std::to_string(members)};
         auto bz = runCbws("401.bzip2-source", p, insts);
         auto lbm = runCbws("lbm-long", p, insts);
         auto st = runCbws("stencil-default", p, insts);
@@ -90,8 +93,8 @@ sweepSteps(std::uint64_t insts)
     t.header({"steps", "sgemm IPC", "stencil IPC",
               "libquantum IPC"});
     for (unsigned steps : {1u, 2u, 4u, 8u}) {
-        CbwsParams p;
-        p.numSteps = steps;
+        const std::vector<std::string> p = {
+            "num-steps=" + std::to_string(steps)};
         auto sg = runCbws("sgemm-medium", p, insts);
         auto st = runCbws("stencil-default", p, insts);
         auto lq = runCbws("462.libquantum-ref", p, insts);
@@ -111,11 +114,8 @@ sweepTrainFilter(std::uint64_t insts)
     t.header({"benchmark", "all-accesses IPC", "misses-only IPC"});
     for (const char *name :
          {"stencil-default", "sgemm-medium", "radix-simlarge"}) {
-        CbwsParams all;
-        CbwsParams misses;
-        misses.trainOnHits = false;
-        auto a = runCbws(name, all, insts);
-        auto m = runCbws(name, misses, insts);
+        auto a = runCbws(name, {}, insts);
+        auto m = runCbws(name, {"train-on-hits=false"}, insts);
         t.row({name, TextTable::num(a.ipc(), 3),
                TextTable::num(m.ipc(), 3)});
     }
@@ -188,8 +188,8 @@ sweepHashWidth(std::uint64_t insts)
     t.header({"hash bits", "stencil IPC", "radix IPC",
               "milc IPC"});
     for (unsigned bits : {4u, 8u, 12u, 16u}) {
-        CbwsParams p;
-        p.hashBits = bits;
+        const std::vector<std::string> p = {
+            "hash-bits=" + std::to_string(bits)};
         auto st = runCbws("stencil-default", p, insts);
         auto rx = runCbws("radix-simlarge", p, insts);
         auto ml = runCbws("433.milc-su3imp", p, insts);
@@ -203,29 +203,32 @@ sweepHashWidth(std::uint64_t insts)
 void
 sweepDramBandwidth(std::uint64_t insts)
 {
-    std::printf("-- DRAM bandwidth sensitivity (min cycles between "
-                "DRAM requests; 0 = paper's\n   latency-only model) "
-                "--\n");
+    std::printf("-- DRAM bandwidth sensitivity (ddr backend; tBURST = "
+                "data-bus cycles per 64 B\n   line, so 64/tBURST "
+                "bytes per cycle) --\n");
     TextTable t;
-    t.header({"interval", "stencil SMS", "stencil CBWS+SMS",
+    t.header({"tBURST", "B/cycle", "stencil SMS", "stencil CBWS+SMS",
               "gain"});
     auto w = findWorkload("stencil-default");
     WorkloadParams wp;
     wp.maxInstructions = insts;
     Trace trace;
     w->generate(trace, wp);
-    for (Cycle interval : {Cycle(0), Cycle(4), Cycle(8), Cycle(16),
-                           Cycle(32)}) {
+    for (Cycle tburst : {Cycle(2), Cycle(4), Cycle(8), Cycle(16),
+                         Cycle(32)}) {
         SystemConfig sms_cfg, hybrid_cfg;
         sms_cfg.scheme = "SMS";
         hybrid_cfg.scheme = "CBWS+SMS";
-        sms_cfg.mem.dramMinInterval = interval;
-        hybrid_cfg.mem.dramMinInterval = interval;
+        for (SystemConfig *cfg : {&sms_cfg, &hybrid_cfg}) {
+            cfg->mem.dramBackend = "ddr";
+            cfg->mem.ddr.tBURST = tburst;
+        }
         auto sms = simulate(trace, sms_cfg, insts, SimProbes(),
                             insts / 4);
         auto hybrid = simulate(trace, hybrid_cfg, insts,
                                SimProbes(), insts / 4);
-        t.row({std::to_string(interval),
+        t.row({std::to_string(tburst),
+               TextTable::num(64.0 / static_cast<double>(tburst), 0),
                TextTable::num(sms.ipc(), 3),
                TextTable::num(hybrid.ipc(), 3),
                TextTable::num(hybrid.ipc() / sms.ipc(), 2) + "x"});

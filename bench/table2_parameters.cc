@@ -7,6 +7,10 @@
 #include <cstdio>
 
 #include "base/table.hh"
+#include "core/cbws_prefetcher.hh"
+#include "prefetch/ghb.hh"
+#include "prefetch/sms.hh"
+#include "prefetch/stride.hh"
 #include "sim/config.hh"
 
 using namespace cbws;
@@ -15,7 +19,11 @@ int
 main()
 {
     std::printf("Table II - simulation parameters (live defaults)\n\n");
-    SystemConfig c;
+    const SystemConfig c;
+    const StrideParams stride;
+    const GhbParams ghb;
+    const SmsParams sms;
+    const CbwsParams cbws;
 
     TextTable t;
     t.header({"parameter", "value"});
@@ -51,29 +59,29 @@ main()
     t.row({"Memory latency",
            std::to_string(c.mem.dramLatency) + " cycles"});
     t.row({"Stride table",
-           std::to_string(c.stride.tableEntries) +
+           std::to_string(stride.tableEntries) +
                " entries fully assoc."});
-    t.row({"GHB entries", std::to_string(c.ghb.bufferEntries)});
+    t.row({"GHB entries", std::to_string(ghb.bufferEntries)});
     t.row({"GHB history length",
-           std::to_string(c.ghb.historyLength)});
-    t.row({"GHB prefetch degree", std::to_string(c.ghb.degree)});
+           std::to_string(ghb.historyLength)});
+    t.row({"GHB prefetch degree", std::to_string(ghb.degree)});
     t.row({"SMS AGT / filter / PHT",
-           std::to_string(c.sms.agtEntries) + " / " +
-               std::to_string(c.sms.filterEntries) + " / " +
-               std::to_string(c.sms.phtEntries) + " entries"});
+           std::to_string(sms.agtEntries) + " / " +
+               std::to_string(sms.filterEntries) + " / " +
+               std::to_string(sms.phtEntries) + " entries"});
     t.row({"SMS region size",
-           std::to_string(c.sms.regionBytes) + " bytes"});
+           std::to_string(sms.regionBytes) + " bytes"});
     t.row({"CBWS max vector members",
-           std::to_string(c.cbws.maxVectorMembers)});
+           std::to_string(cbws.maxVectorMembers)});
     t.row({"CBWS stride size",
-           std::to_string(c.cbws.strideBits) + "-bit"});
+           std::to_string(cbws.strideBits) + "-bit"});
     t.row({"CBWS last CBWSs stored",
-           std::to_string(c.cbws.numSteps)});
+           std::to_string(cbws.numSteps)});
     t.row({"CBWS differential table",
-           std::to_string(c.cbws.tableEntries) +
+           std::to_string(cbws.tableEntries) +
                " entries, random repl."});
     t.row({"CBWS lookup hash",
-           std::to_string(c.cbws.hashBits) + " line LSBs"});
+           std::to_string(cbws.hashBits) + " line LSBs"});
     std::printf("%s\n", t.render().c_str());
     return 0;
 }

@@ -1,10 +1,10 @@
 #include "base/argparse.hh"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
+#include "base/decimal.hh"
 #include "base/logging.hh"
 
 namespace cbws
@@ -138,12 +138,8 @@ ArgParser::getUint(const std::string &name,
     if (!opt)
         return fallback;
     const std::string &text = opt->value;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
-    // Plain decimal digits only: strtoull alone would also take a sign
-    // (wrapping "-1" to 2^64-1) and leading whitespace.
-    if (!text.empty() && errno != ERANGE &&
-        text.find_first_not_of("0123456789") == std::string::npos)
+    std::uint64_t v = 0;
+    if (parseDecimal(text, v))
         return v;
     // A bad declared default falls back; a bad user value is an error.
     fatal_if(opt->set, "%s: --%s expects an unsigned decimal integer "

@@ -9,7 +9,7 @@
  * A DramBackend answers the only question the hierarchy asks of main
  * memory ("a fill request reaches the controller at cycle T; when is
  * its data back at the L2?") while modelling whatever it likes
- * internally: the `fixed` backend reproduces the legacy behaviour
+ * internally: the `fixed` backend reproduces the legacy flat latency
  * bit-for-bit, the `ddr` backend models channels/ranks/banks with
  * open-page row buffers, DDR timing constraints, read/write queues
  * and an FR-FCFS-style scheduler that deprioritises prefetch-sourced

@@ -32,19 +32,6 @@ DdrBackend::DdrBackend(const HierarchyParams &params)
     panic_if(ddr_.writeLowWatermark >= ddr_.writeHighWatermark,
              "ddr backend: writeLowWatermark must be < "
              "writeHighWatermark");
-    if (params.dramMinInterval != 0) {
-        // Warn once per process: the legacy flat throttle and the
-        // banked model are mutually exclusive bandwidth models.
-        static bool warned = false;
-        if (!warned) {
-            warned = true;
-            warn("dramMinInterval=%llu is ignored by the ddr backend "
-                 "(deprecated flat throttle; bandwidth comes from "
-                 "tBURST). Use --dram fixed to keep it.",
-                 static_cast<unsigned long long>(
-                     params.dramMinInterval));
-        }
-    }
     stats_.bankRowHits.assign(banks_.size(), 0);
     stats_.bankRowMisses.assign(banks_.size(), 0);
 }

@@ -1,12 +1,12 @@
 /**
  * @file
- * The `fixed` DRAM backend: the paper's flat-latency main memory,
- * plus the legacy optional global issue throttle (dramMinInterval).
+ * The `fixed` DRAM backend: the paper's flat-latency main memory.
  *
- * This reproduces the pre-backend Hierarchy::dramFillReady behaviour
- * bit-for-bit — same formula, same single piece of state — so the
- * default configuration's results are byte-identical to historical
- * runs. Writebacks are free, exactly as before.
+ * Every read completes `dramLatency` cycles after it arrives, with no
+ * bandwidth limit; writebacks are free. This is the pre-backend
+ * Hierarchy::dramFillReady formula, so the default configuration's
+ * results are byte-identical to historical runs. Bandwidth studies
+ * use the `ddr` backend (its `tBURST`).
  */
 
 #include <memory>
@@ -24,8 +24,7 @@ class FixedDramBackend : public DramBackend
 {
   public:
     explicit FixedDramBackend(const HierarchyParams &params)
-        : latency_(params.dramLatency),
-          minInterval_(params.dramMinInterval)
+        : latency_(params.dramLatency)
     {
     }
 
@@ -35,13 +34,7 @@ class FixedDramBackend : public DramBackend
     read(const DramRequest &req) override
     {
         ++stats_.reads;
-        if (minInterval_ == 0)
-            return req.arrival + latency_;
-        const Cycle start =
-            req.arrival > nextFree_ ? req.arrival : nextFree_;
-        nextFree_ = start + minInterval_;
-        stats_.busBusyCycles += minInterval_;
-        return start + latency_;
+        return req.arrival + latency_;
     }
 
     void
@@ -56,9 +49,6 @@ class FixedDramBackend : public DramBackend
 
   private:
     const Cycle latency_;
-    const Cycle minInterval_;
-    /** Next cycle the DRAM accepts a request (throttle state). */
-    Cycle nextFree_ = 0;
 };
 
 } // anonymous namespace

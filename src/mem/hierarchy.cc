@@ -50,9 +50,8 @@ constexpr Backend Backends[] = {
      "pressure",
      makeDdrBackend},
     {"fixed",
-     "flat latency (Table II: 300 cycles) + optional legacy "
-     "min-interval throttle; the default, bit-identical to the "
-     "paper's model",
+     "flat latency (Table II: 300 cycles), no bandwidth limit; the "
+     "default, bit-identical to the paper's model",
      makeFixedBackend},
 };
 

@@ -130,16 +130,6 @@ struct HierarchyParams
     std::string dramBackend = "fixed";
     /** Fixed main-memory access latency (Table II: 300 cycles). */
     Cycle dramLatency = 300;
-    /**
-     * DEPRECATED: minimum spacing between DRAM request issues, in
-     * cycles — the legacy flat bandwidth model (64 B / interval
-     * bytes-per-cycle). Honoured only by the `fixed` backend, so a
-     * run has exactly one bandwidth model; the `ddr` backend warns
-     * once and ignores it. 0 disables the throttle — the paper's
-     * latency-only configuration, and the default for all
-     * reproduction benches.
-     */
-    Cycle dramMinInterval = 0;
     /** Timing of the `ddr` backend (unused by `fixed`). */
     DdrParams ddr;
     /** Prefetch request queue between prefetcher and L2. */

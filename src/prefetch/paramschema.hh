@@ -22,9 +22,7 @@
 #define CBWS_PREFETCH_PARAMSCHEMA_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,6 +30,7 @@
 #include <typeindex>
 #include <vector>
 
+#include "base/decimal.hh"
 #include "base/result.hh"
 
 namespace cbws
@@ -49,8 +48,6 @@ paramTypeName()
 {
     if constexpr (std::is_same_v<M, bool>)
         return "bool";
-    else if constexpr (std::is_floating_point_v<M>)
-        return "float";
     else if constexpr (std::is_signed_v<M>)
         return "int";
     else
@@ -68,7 +65,11 @@ paramValueToString(M value)
         return std::to_string(value);
 }
 
-/** Parse @p text into @p out; InvalidArgument on junk or overflow. */
+/**
+ * Parse @p text into @p out; InvalidArgument on junk or overflow.
+ * Integers follow parseDecimal(): plain decimal digits, a leading
+ * '-' only for signed keys.
+ */
 template <typename M>
 inline Result<void>
 parseParamValue(const std::string &text, M &out)
@@ -88,40 +89,14 @@ parseParamValue(const std::string &text, M &out)
         }
         return Error(Errc::InvalidArgument,
                      "'" + text + "' is not a bool (use true/false)");
-    } else if constexpr (std::is_floating_point_v<M>) {
-        char *end = nullptr;
-        const double v = std::strtod(text.c_str(), &end);
-        if (end == text.c_str() || *end != '\0')
-            return Error(Errc::InvalidArgument,
-                         "'" + text + "' is not a number");
-        out = static_cast<M>(v);
-        return Result<void>();
-    } else if constexpr (std::is_signed_v<M>) {
-        char *end = nullptr;
-        const long long v = std::strtoll(text.c_str(), &end, 0);
-        if (end == text.c_str() || *end != '\0')
-            return Error(Errc::InvalidArgument,
-                         "'" + text + "' is not an integer");
-        if (v < static_cast<long long>(std::numeric_limits<M>::min()) ||
-            v > static_cast<long long>(std::numeric_limits<M>::max()))
-            return Error(Errc::InvalidArgument,
-                         "'" + text + "' is out of range");
-        out = static_cast<M>(v);
-        return Result<void>();
     } else {
-        if (text[0] == '-')
+        if (!parseDecimal(text, out))
             return Error(Errc::InvalidArgument,
-                         "'" + text + "' is negative (key is uint)");
-        char *end = nullptr;
-        const unsigned long long v =
-            std::strtoull(text.c_str(), &end, 0);
-        if (end == text.c_str() || *end != '\0')
-            return Error(Errc::InvalidArgument,
-                         "'" + text + "' is not an unsigned integer");
-        if (v > std::numeric_limits<M>::max())
-            return Error(Errc::InvalidArgument,
-                         "'" + text + "' is out of range");
-        out = static_cast<M>(v);
+                         "'" + text + "' is not " +
+                             (std::is_signed_v<M>
+                                  ? "a decimal integer"
+                                  : "an unsigned decimal integer") +
+                             " in range");
         return Result<void>();
     }
 }
@@ -142,7 +117,7 @@ class ParamSchema
     struct KeyInfo
     {
         std::string key;          ///< user-facing spelling
-        std::string type;         ///< "uint" | "int" | "bool" | "float"
+        std::string type;         ///< "uint" | "int" | "bool"
         std::string defaultValue; ///< Table II default, rendered
         std::string help;
     };

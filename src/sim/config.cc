@@ -28,26 +28,11 @@ zooSchemeNames()
     return prefetcherRegistry().names();
 }
 
-ParamSet
-paramSetFrom(const SystemConfig &config)
-{
-    ParamSet params;
-    params.set(config.stride);
-    params.set(config.ghb);
-    params.set(config.sms);
-    params.set(config.cbws);
-    params.set(config.ampm);
-    params.set(config.multistride);
-    params.set(config.pangloss);
-    params.set(config.pythia);
-    return params;
-}
-
 std::unique_ptr<Prefetcher>
 makePrefetcher(const SystemConfig &config)
 {
     const std::string &name = config.scheme;
-    ParamSet params = paramSetFrom(config);
+    ParamSet params;
     if (!config.pfOpts.empty()) {
         // Keys this scheme does not accept are skipped: multi-scheme
         // drivers validated every key against the whole selection up

@@ -10,17 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "core/cbws_prefetcher.hh"
 #include "cpu/core.hh"
 #include "mem/params.hh"
-#include "prefetch/ampm.hh"
-#include "prefetch/ghb.hh"
-#include "prefetch/multistride.hh"
-#include "prefetch/pangloss.hh"
-#include "prefetch/pythia.hh"
 #include "prefetch/registry.hh"
-#include "prefetch/sms.hh"
-#include "prefetch/stride.hh"
 
 namespace cbws
 {
@@ -49,30 +41,20 @@ struct SystemConfig
 
     /**
      * `key=value` parameter overrides applied through the scheme's
-     * ParamSchema on top of the struct defaults below (the `--pf-opt`
-     * surface). Keys the selected scheme does not accept are skipped
-     * by makePrefetcher — multi-scheme drivers validate the full
-     * selection up front via PrefetcherRegistry::validateOptions().
+     * ParamSchema (the `--pf-opt` surface); the one way to tune a
+     * scheme. Keys left unset keep the Table II defaults of the
+     * scheme's parameter struct. Keys the selected scheme does not
+     * accept are skipped by makePrefetcher — multi-scheme drivers
+     * validate the full selection up front via
+     * PrefetcherRegistry::validateOptions().
      */
     std::vector<std::string> pfOpts;
-
-    StrideParams stride;
-    GhbParams ghb;
-    SmsParams sms;
-    CbwsParams cbws;
-    AmpmParams ampm;
-    MultistrideParams multistride;
-    PanglossParams pangloss;
-    PythiaParams pythia;
 };
-
-/** Bundle the config's per-scheme parameter structs for the registry. */
-ParamSet paramSetFrom(const SystemConfig &config);
 
 /**
  * Instantiate the configured prefetcher: `scheme` through
- * prefetcherRegistry(), with the config's parameter structs and
- * `pfOpts` applied.
+ * prefetcherRegistry(), with `pfOpts` applied over the Table II
+ * defaults.
  */
 std::unique_ptr<Prefetcher> makePrefetcher(const SystemConfig &config);
 

@@ -94,33 +94,13 @@ TEST(DramRegistry, CreateRoundTripsAndUnknownNamesAreListed)
 
 TEST(FixedDram, MatchesLegacyFormulaWithoutThrottle)
 {
-    HierarchyParams p; // dramMinInterval == 0
+    HierarchyParams p; // Table II: 300-cycle flat latency
     auto b = dramBackendRegistry().create("fixed", p);
     ASSERT_TRUE(b.ok());
     for (Cycle t : {Cycle(0), Cycle(7), Cycle(5), Cycle(1000)}) {
         EXPECT_EQ(b.value()->read(demand(t, t)),
                   t + p.dramLatency);
     }
-}
-
-TEST(FixedDram, MatchesLegacyThrottleStateMachine)
-{
-    HierarchyParams p;
-    p.dramMinInterval = 10;
-    auto created = dramBackendRegistry().create("fixed", p);
-    ASSERT_TRUE(created.ok());
-    DramBackend &b = *created.value();
-
-    // The legacy formula, replicated verbatim.
-    Cycle next_free = 0;
-    const Cycle arrivals[] = {0, 3, 4, 50, 52, 51, 200};
-    for (Cycle t : arrivals) {
-        const Cycle start = std::max(t, next_free);
-        next_free = start + p.dramMinInterval;
-        EXPECT_EQ(b.read(demand(t, t)), start + p.dramLatency)
-            << "arrival " << t;
-    }
-    EXPECT_EQ(b.stats().reads, 7u);
 }
 
 // ---------------------------------------------------------------

@@ -269,19 +269,6 @@ TEST(Hierarchy, PrefetchToL1Ablation)
     EXPECT_TRUE(out.l1Hit);
 }
 
-TEST(Hierarchy, DramBandwidthThrottleSpacesFills)
-{
-    HierarchyParams p;
-    p.dramMinInterval = 50;
-    Hierarchy mem(p);
-    auto a = mem.load(0x10000, 0);
-    auto b = mem.load(0x20000, 0);
-    auto c = mem.load(0x30000, 0);
-    // Same-cycle misses serialise at the DRAM: fills 50 cycles apart.
-    EXPECT_EQ(b.readyAt, a.readyAt + 50);
-    EXPECT_EQ(c.readyAt, b.readyAt + 50);
-}
-
 TEST(Hierarchy, DramThrottleOffByDefault)
 {
     Hierarchy mem(HierarchyParams{});

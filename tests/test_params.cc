@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/cbws_prefetcher.hh"
+#include "prefetch/pythia.hh"
 #include "prefetch/registry.hh"
 #include "sim/config.hh"
 
@@ -33,6 +34,11 @@ TEST(ParamSchema, AppliesValuesOntoTheParamStruct)
     ASSERT_TRUE(r.ok()) << r.error().str();
     EXPECT_EQ(params.getOr<CbwsParams>().tableEntries, 64u);
     EXPECT_EQ(params.getOr<CbwsParams>().numSteps, 2u);
+
+    // Integers are decimal: a leading zero is not an octal prefix.
+    r = schema.apply(params, "table-entries", "010");
+    ASSERT_TRUE(r.ok()) << r.error().str();
+    EXPECT_EQ(params.getOr<CbwsParams>().tableEntries, 10u);
 }
 
 TEST(ParamSchema, UnknownKeyIsNotFoundAndNamesTheKey)
@@ -50,8 +56,10 @@ TEST(ParamSchema, MalformedValuesAreInvalidArgument)
 {
     ParamSet params;
     const ParamSchema schema = cbwsParamSchema();
-    // uint key: junk, negative, and trailing garbage all fail.
-    for (const char *bad : {"abc", "-3", "12abc", ""}) {
+    // uint keys take plain decimal digits only: junk, negative,
+    // trailing garbage, hex, a sign or whitespace all fail.
+    for (const char *bad : {"abc", "-3", "12abc", "", "0x10", "+5",
+                            " 5"}) {
         Result<void> r =
             schema.apply(params, "table-entries", bad);
         ASSERT_FALSE(r.ok()) << "'" << bad << "' must not parse";
@@ -60,6 +68,30 @@ TEST(ParamSchema, MalformedValuesAreInvalidArgument)
                   std::string::npos)
             << "error must name the key for '" << bad << "'";
     }
+    // A 64-bit key rejects values past 2^64-1 instead of saturating,
+    // and a space before '-' does not sneak a negative past the check.
+    for (const char *bad :
+         {"99999999999999999999", "18446744073709551616", " -1"}) {
+        Result<void> r = schema.apply(params, "table-seed", bad);
+        ASSERT_FALSE(r.ok()) << "'" << bad << "' must not parse";
+        EXPECT_EQ(r.code(), Errc::InvalidArgument) << bad;
+        EXPECT_NE(r.error().message.find("table-seed"),
+                  std::string::npos)
+            << bad;
+    }
+    // int keys take an optional leading '-' and nothing else.
+    const ParamSchema pythia = pythiaParamSchema();
+    for (const char *bad : {" 5", "+5", "0x10", "--5", "5 ",
+                            "99999999999"}) {
+        Result<void> r = pythia.apply(params, "reward-accurate", bad);
+        ASSERT_FALSE(r.ok()) << "'" << bad << "' must not parse";
+        EXPECT_EQ(r.code(), Errc::InvalidArgument) << bad;
+        EXPECT_NE(r.error().message.find("reward-accurate"),
+                  std::string::npos)
+            << bad;
+    }
+    ASSERT_TRUE(pythia.apply(params, "reward-accurate", "-7").ok());
+    EXPECT_EQ(params.getOr<PythiaParams>().rewardAccurate, -7);
     // bool key rejects non-boolean text.
     Result<void> r = schema.apply(params, "train-on-hits", "maybe");
     ASSERT_FALSE(r.ok());

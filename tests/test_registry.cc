@@ -3,8 +3,8 @@
  * String-keyed prefetcher registry: every scheme the paper evaluates
  * (plus the extensions) must be listed under its figure-legend name,
  * resolve case-insensitively, and build the same prefetcher
- * makePrefetcher() builds from a SystemConfig — identical name() and
- * Table III storageBits().
+ * makePrefetcher() builds from a SystemConfig's scheme and pfOpts —
+ * identical name() and Table III storageBits().
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <strings.h>
+#include <vector>
 
 #include "prefetch/registry.hh"
 #include "sim/config.hh"
@@ -23,16 +24,26 @@ namespace
 
 TEST(PrefetcherRegistry, EveryKindRoundTripsThroughTheRegistry)
 {
+    const std::vector<std::string> opts = {"table-entries=1024"};
     for (const std::string &name : extendedSchemeNames()) {
         ASSERT_TRUE(prefetcherRegistry().contains(name)) << name;
 
         SystemConfig config;
         config.scheme = name;
+        config.pfOpts = opts;
         const auto via_config = makePrefetcher(config);
         ASSERT_NE(via_config, nullptr) << name;
 
+        // Schemes without an unscoped table-entries key skip it, as
+        // makePrefetcher() does.
+        ParamSet params;
+        ASSERT_TRUE(prefetcherRegistry()
+                        .applyOptions(name, params, opts,
+                                      /*ignore_unknown=*/true)
+                        .ok())
+            << name;
         Result<std::unique_ptr<Prefetcher>> via_registry =
-            prefetcherRegistry().create(name, paramSetFrom(config));
+            prefetcherRegistry().create(name, params);
         ASSERT_TRUE(via_registry.ok())
             << name << ": " << via_registry.error().str();
         const auto &direct = via_registry.value();
@@ -93,15 +104,19 @@ TEST(PrefetcherRegistry, UnknownNameListsTheRegisteredSchemes)
 
 TEST(PrefetcherRegistry, ParamsReachTheFactory)
 {
-    // A non-default degree must change the built prefetcher's
+    // A non-default table size must change the built prefetcher's
     // hardware budget exactly as it does through makePrefetcher().
+    const std::vector<std::string> opts = {
+        "table-entries=1024"}; // default is smaller
     SystemConfig config;
     config.scheme = "Stride";
-    config.stride.tableEntries = 1024; // default is smaller
+    config.pfOpts = opts;
 
     const auto via_config = makePrefetcher(config);
-    auto via_registry =
-        prefetcherRegistry().create("Stride", paramSetFrom(config));
+    ParamSet params;
+    ASSERT_TRUE(
+        prefetcherRegistry().applyOptions("Stride", params, opts).ok());
+    auto via_registry = prefetcherRegistry().create("Stride", params);
     ASSERT_TRUE(via_registry.ok());
     EXPECT_EQ(via_registry.value()->storageBits(),
               via_config->storageBits());

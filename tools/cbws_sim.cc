@@ -8,11 +8,12 @@
  *
  * Examples:
  *   cbws-sim --list
- *   cbws-sim --workload sgemm-medium --prefetcher all
- *   cbws-sim --workload nw --prefetcher CBWS --insts 200000 --csv
- *   cbws-sim --workload fft-simlarge --cbws-table-entries 64
+ *   cbws-sim --workload sgemm-medium --scheme all
+ *   cbws-sim --workload nw --scheme CBWS --insts 200000 --csv
+ *   cbws-sim --workload fft-simlarge --scheme CBWS \
+ *       --pf-opt table-entries=64
  *   cbws-sim --workload stencil-default --save-trace stencil.cbt
- *   cbws-sim --load-trace stencil.cbt --prefetcher CBWS+SMS
+ *   cbws-sim --load-trace stencil.cbt --scheme CBWS+SMS
  *   cbws-sim --workload radix-simlarge --auto-annotate
  */
 
@@ -107,20 +108,6 @@ listWorkloads()
 void
 applyOverrides(const ArgParser &args, SystemConfig &config)
 {
-    if (args.provided("cbws-table-entries")) {
-        config.cbws.tableEntries = static_cast<unsigned>(
-            args.getUint("cbws-table-entries", 16));
-    }
-    if (args.provided("cbws-max-members")) {
-        config.cbws.maxVectorMembers = static_cast<unsigned>(
-            args.getUint("cbws-max-members", 16));
-    }
-    if (args.provided("cbws-steps")) {
-        config.cbws.numSteps =
-            static_cast<unsigned>(args.getUint("cbws-steps", 4));
-    }
-    if (args.getFlag("cbws-train-misses-only"))
-        config.cbws.trainOnHits = false;
     if (args.provided("l2-kb")) {
         config.mem.l2.sizeBytes =
             args.getUint("l2-kb", 2048) * 1024;
@@ -134,10 +121,6 @@ applyOverrides(const ArgParser &args, SystemConfig &config)
     if (args.provided("dram-latency")) {
         config.mem.dramLatency =
             args.getUint("dram-latency", 300);
-    }
-    if (args.provided("dram-min-interval")) {
-        config.mem.dramMinInterval =
-            args.getUint("dram-min-interval", 0);
     }
     if (args.provided("dram-tburst")) {
         config.mem.ddr.tBURST = args.getUint("dram-tburst", 8);
@@ -269,14 +252,10 @@ main(int argc, char **argv)
     args.addFlag("list", "list the available benchmarks and exit");
     args.addOption("workload", "benchmark to run",
                    "stencil-default");
-    args.addOption("prefetcher",
+    args.addOption("scheme",
                    "scheme name as in the paper's figures, or 'all' "
                    "('help' lists the registered schemes)",
                    "CBWS+SMS");
-    args.addOption("scheme",
-                   "alias of --prefetcher (registry name, 'all', or "
-                   "'help')",
-                   "");
     args.addRepeatable("pf-opt",
                        "scheme parameter override as key=value (e.g. "
                        "degree=4, cbws.table-entries=32); see "
@@ -308,22 +287,11 @@ main(int argc, char **argv)
                    "");
     args.addOption("l2-banks",
                    "L2 banks arbitrating multi-core accesses", "");
-    args.addOption("cbws-table-entries",
-                   "CBWS differential table entries", "");
-    args.addOption("cbws-max-members",
-                   "CBWS max working-set members", "");
-    args.addOption("cbws-steps", "CBWS prediction depth", "");
-    args.addFlag("cbws-train-misses-only",
-                 "CBWS tracks only L1 misses inside blocks");
     args.addOption("l2-kb", "L2 capacity in KB", "");
     args.addOption("dram",
                    "DRAM timing backend ('help' lists them)",
                    "fixed");
     args.addOption("dram-latency", "memory latency in cycles", "");
-    args.addOption("dram-min-interval",
-                   "DEPRECATED flat throttle: min cycles between "
-                   "DRAM issues (fixed backend only)",
-                   "");
     args.addOption("dram-tburst",
                    "ddr backend data-bus cycles per 64 B line "
                    "(bandwidth = 64/tBURST B/cycle)",
@@ -402,10 +370,8 @@ main(int argc, char **argv)
         }
     }
 
-    // --scheme is an alias of --prefetcher; 'help' lists schemes.
-    const std::string scheme = args.provided("scheme")
-                                   ? args.get("scheme")
-                                   : args.get("prefetcher");
+    // --scheme help lists the registered schemes.
+    const std::string scheme = args.get("scheme");
     if (scheme == "help") {
         listSchemes();
         return 0;
@@ -428,6 +394,14 @@ main(int argc, char **argv)
     const std::uint64_t warmup =
         args.provided("warmup") ? args.getUint("warmup", 0)
                                 : insts / 4;
+    if (args.provided("warmup") && warmup >= insts) {
+        std::fprintf(stderr,
+                     "--warmup: %llu leaves nothing to measure; it "
+                     "must be below --insts (%llu)\n",
+                     static_cast<unsigned long long>(warmup),
+                     static_cast<unsigned long long>(insts));
+        return 1;
+    }
     const std::uint64_t seed = args.getUint("seed", 42);
     SystemConfig base_config;
     applyOverrides(args, base_config);
@@ -595,7 +569,7 @@ main(int argc, char **argv)
         schemes = allSchemeNames();
     } else {
         if (!prefetcherRegistry().contains(scheme)) {
-            std::fprintf(stderr, "unknown prefetcher '%s'; one of:",
+            std::fprintf(stderr, "--scheme: unknown scheme '%s'; one of:",
                          scheme.c_str());
             for (const auto &name : prefetcherRegistry().names())
                 std::fprintf(stderr, " '%s'", name.c_str());
