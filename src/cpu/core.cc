@@ -564,14 +564,8 @@ OooCore::finish(Cycle end)
 {
     stats_.cycles = end;
     if (warmupInsts_ > 0 && warmed_) {
-        stats_.cycles -= warmSnapshot_.cycles;
-        stats_.instructions -= warmSnapshot_.instructions;
-        stats_.memInstructions -= warmSnapshot_.memInstructions;
-        stats_.branches -= warmSnapshot_.branches;
-        stats_.branchMispredicts -= warmSnapshot_.branchMispredicts;
-        stats_.loopCycles -= warmSnapshot_.loopCycles;
-        stats_.robFullStalls -= warmSnapshot_.robFullStalls;
-        stats_.lsqFullStalls -= warmSnapshot_.lsqFullStalls;
+        for (auto counter : CoreStats::Counters)
+            stats_.*counter -= warmSnapshot_.*counter;
     }
     records_ = nullptr;
     traceSize_ = 0;

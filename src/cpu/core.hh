@@ -54,6 +54,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,20 @@ struct CoreStats
     std::uint64_t robFullStalls = 0;
     std::uint64_t lsqFullStalls = 0;
 
+    /** Every counter, in declaration order: the checkpoint `core`
+     *  array layout, the warm-up subtraction and the multi-core sum
+     *  all walk this table. */
+    static constexpr std::uint64_t CoreStats::*Counters[] = {
+        &CoreStats::cycles,
+        &CoreStats::instructions,
+        &CoreStats::memInstructions,
+        &CoreStats::branches,
+        &CoreStats::branchMispredicts,
+        &CoreStats::loopCycles,
+        &CoreStats::robFullStalls,
+        &CoreStats::lsqFullStalls,
+    };
+
     double ipc() const
     {
         return cycles ? static_cast<double>(instructions) /
@@ -109,7 +124,13 @@ struct CoreStats
                         static_cast<double>(cycles)
                       : 0.0;
     }
+
+    bool operator==(const CoreStats &) const = default;
 };
+
+static_assert(sizeof(CoreStats) ==
+                  std::size(CoreStats::Counters) * sizeof(std::uint64_t),
+              "a CoreStats counter is missing from CoreStats::Counters");
 
 /**
  * The out-of-order core.

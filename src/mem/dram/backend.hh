@@ -37,6 +37,7 @@
 #define CBWS_MEM_DRAM_BACKEND_HH
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -91,9 +92,25 @@ struct DramStats
     std::uint64_t readQueueDepthSum = 0;
     std::uint64_t writeQueueDepthSum = 0;
 
-    /** Per-bank row-buffer outcomes (empty for flat backends). */
-    std::vector<std::uint64_t> bankRowHits;
-    std::vector<std::uint64_t> bankRowMisses;
+    /** Every counter, in declaration order (the checkpoint `dram`
+     *  array). */
+    static constexpr std::uint64_t DramStats::*Counters[] = {
+        &DramStats::reads,
+        &DramStats::writes,
+        &DramStats::rowHits,
+        &DramStats::rowMisses,
+        &DramStats::rowClosed,
+        &DramStats::activates,
+        &DramStats::fawStalls,
+        &DramStats::refreshStalls,
+        &DramStats::prefetchesDeferred,
+        &DramStats::deferralCycles,
+        &DramStats::readQueueFullStalls,
+        &DramStats::writeDrains,
+        &DramStats::busBusyCycles,
+        &DramStats::readQueueDepthSum,
+        &DramStats::writeQueueDepthSum,
+    };
 
     /** Row hits per column access ([0,1]; 0 when nothing serviced). */
     double
@@ -124,6 +141,10 @@ struct DramStats
     /** Exact equality (determinism assertions in tests). */
     bool operator==(const DramStats &) const = default;
 };
+
+static_assert(sizeof(DramStats) ==
+                  std::size(DramStats::Counters) * sizeof(std::uint64_t),
+              "a DramStats counter is missing from DramStats::Counters");
 
 /**
  * A main-memory timing model. One instance per Hierarchy (per
@@ -167,7 +188,7 @@ class DramBackend
     const DramStats &stats() const { return stats_; }
 
     /** Zero the counters; timing state is preserved (warm-up). */
-    virtual void resetStats() { stats_ = DramStats(); }
+    void resetStats() { stats_ = DramStats(); }
 
   protected:
     DramStats stats_;

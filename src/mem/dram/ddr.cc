@@ -32,16 +32,6 @@ DdrBackend::DdrBackend(const HierarchyParams &params)
     panic_if(ddr_.writeLowWatermark >= ddr_.writeHighWatermark,
              "ddr backend: writeLowWatermark must be < "
              "writeHighWatermark");
-    stats_.bankRowHits.assign(banks_.size(), 0);
-    stats_.bankRowMisses.assign(banks_.size(), 0);
-}
-
-void
-DdrBackend::resetStats()
-{
-    stats_ = DramStats();
-    stats_.bankRowHits.assign(banks_.size(), 0);
-    stats_.bankRowMisses.assign(banks_.size(), 0);
 }
 
 DdrBackend::Decoded
@@ -139,11 +129,9 @@ DdrBackend::serviceColumn(const Decoded &d, Cycle t, bool is_write)
     Cycle cas;
     if (bank.openRow == d.row) {
         ++stats_.rowHits;
-        ++stats_.bankRowHits[d.bank];
         cas = std::max(t, bank.readyAt);
     } else if (bank.openRow != Bank::NoRow) {
         ++stats_.rowMisses;
-        ++stats_.bankRowMisses[d.bank];
         const Cycle pre = std::max(t, bank.readyAt);
         const Cycle act =
             fawAdjust(ranks_[d.rank], pre + ddr_.tRP);

@@ -64,8 +64,6 @@ class DdrBackend : public DramBackend
     unsigned readQueueDepth(Cycle now) const override;
     unsigned writeQueueDepth(Cycle now) const override;
 
-    void resetStats() override;
-
     /** The geometry/timing this instance runs with. */
     const DdrParams &timing() const { return ddr_; }
 

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -88,6 +89,20 @@ struct PrefetchLifecycle
     /** Total cycles demands waited on late prefetch fills. */
     std::uint64_t latenessCycles = 0;
 
+    /** Every counter, in declaration order (the checkpoint layout of
+     *  one `pf_life` entry). */
+    static constexpr std::uint64_t PrefetchLifecycle::*Counters[] = {
+        &PrefetchLifecycle::issued,
+        &PrefetchLifecycle::dropped,
+        &PrefetchLifecycle::merged,
+        &PrefetchLifecycle::filled,
+        &PrefetchLifecycle::demandHitTimely,
+        &PrefetchLifecycle::demandHitLate,
+        &PrefetchLifecycle::evictedUnused,
+        &PrefetchLifecycle::residentAtEnd,
+        &PrefetchLifecycle::latenessCycles,
+    };
+
     std::uint64_t
     demandHits() const
     {
@@ -126,17 +141,15 @@ struct PrefetchLifecycle
     void
     add(const PrefetchLifecycle &o)
     {
-        issued += o.issued;
-        dropped += o.dropped;
-        merged += o.merged;
-        filled += o.filled;
-        demandHitTimely += o.demandHitTimely;
-        demandHitLate += o.demandHitLate;
-        evictedUnused += o.evictedUnused;
-        residentAtEnd += o.residentAtEnd;
-        latenessCycles += o.latenessCycles;
+        for (auto counter : Counters)
+            this->*counter += o.*counter;
     }
 };
+
+static_assert(sizeof(PrefetchLifecycle) ==
+                  std::size(PrefetchLifecycle::Counters) *
+                      sizeof(std::uint64_t),
+              "a PrefetchLifecycle counter is missing from its Counters");
 
 /**
  * Per-core slice of the hierarchy statistics; only populated when the
@@ -168,8 +181,29 @@ struct CoreMemStats
     /** Shared-L2 lines owned by this core at finalize(). */
     std::uint64_t l2ResidentLines = 0;
 
+    /** Every counter, in declaration order (the checkpoint layout of
+     *  a `per_core` entry's `mem` array). */
+    static constexpr std::uint64_t CoreMemStats::*Counters[] = {
+        &CoreMemStats::l1dAccesses,
+        &CoreMemStats::l1dMisses,
+        &CoreMemStats::l1iAccesses,
+        &CoreMemStats::l1iMisses,
+        &CoreMemStats::demandL2Accesses,
+        &CoreMemStats::llcDemandMisses,
+        &CoreMemStats::prefetchesRequested,
+        &CoreMemStats::prefetchesIssued,
+        &CoreMemStats::pollutionVictimMisses,
+        &CoreMemStats::pollutionCausedMisses,
+        &CoreMemStats::l2ResidentLines,
+    };
+
     bool operator==(const CoreMemStats &) const = default;
 };
+
+static_assert(sizeof(CoreMemStats) ==
+                  std::size(CoreMemStats::Counters) *
+                      sizeof(std::uint64_t),
+              "a CoreMemStats counter is missing from its Counters");
 
 /** Aggregate statistics of the hierarchy. */
 struct HierarchyStats
@@ -224,6 +258,27 @@ struct HierarchyStats
      */
     std::uint64_t latenessHist[LatenessBuckets] = {};
 
+    /** The scalar counters, in declaration order (the checkpoint
+     *  `mem` array). The aggregates above have layouts of their own. */
+    static constexpr std::uint64_t HierarchyStats::*Counters[] = {
+        &HierarchyStats::l1dAccesses,
+        &HierarchyStats::l1dMisses,
+        &HierarchyStats::l1iAccesses,
+        &HierarchyStats::l1iMisses,
+        &HierarchyStats::demandL2Accesses,
+        &HierarchyStats::llcDemandMisses,
+        &HierarchyStats::wrongPrefetches,
+        &HierarchyStats::prefetchesRequested,
+        &HierarchyStats::prefetchesIssued,
+        &HierarchyStats::prefetchesFiltered,
+        &HierarchyStats::prefetchesDropped,
+        &HierarchyStats::dramBytesRead,
+        &HierarchyStats::dramBytesWritten,
+        &HierarchyStats::mshrStalls,
+        &HierarchyStats::crossCorePollutionMisses,
+        &HierarchyStats::l2BankConflicts,
+    };
+
     std::uint64_t
     classCount(DemandClass cls) const
     {
@@ -244,6 +299,16 @@ struct HierarchyStats
      *  this; defaulted, so a new counter cannot be left out). */
     bool operator==(const HierarchyStats &) const = default;
 };
+
+static_assert(sizeof(HierarchyStats) ==
+                  std::size(HierarchyStats::Counters) *
+                          sizeof(std::uint64_t) +
+                      sizeof(HierarchyStats::classCounts) +
+                      sizeof(HierarchyStats::perCore) +
+                      sizeof(HierarchyStats::dram) +
+                      sizeof(HierarchyStats::pfLife) +
+                      sizeof(HierarchyStats::latenessHist),
+              "a HierarchyStats counter is missing from its Counters");
 
 /**
  * The memory system: L1I + L1D backed by an inclusive L2 and DRAM.

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <unistd.h>
 
 #include "base/faultinject.hh"
@@ -73,39 +74,15 @@ verifySeal(const std::string &line, std::string &object_text)
     return hex == hex16(fnv1a(object_text));
 }
 
-void
-writeLifecycle(JsonWriter &w, const PrefetchLifecycle &life)
-{
-    w.beginArray();
-    w.value(life.issued);
-    w.value(life.dropped);
-    w.value(life.merged);
-    w.value(life.filled);
-    w.value(life.demandHitTimely);
-    w.value(life.demandHitLate);
-    w.value(life.evictedUnused);
-    w.value(life.residentAtEnd);
-    w.value(life.latenessCycles);
-    w.endArray();
-}
-
+/** True when @p v is an array of exactly @p n unsigned integers. */
 bool
-readLifecycle(const JsonValue &v, PrefetchLifecycle &life)
+isUintArray(const JsonValue *v, std::size_t n)
 {
-    if (v.type != JsonValue::Type::Array || v.array.size() != 9)
+    if (!v || v->type != JsonValue::Type::Array || v->array.size() != n)
         return false;
-    std::uint64_t *fields[] = {
-        &life.issued,        &life.dropped,
-        &life.merged,        &life.filled,
-        &life.demandHitTimely, &life.demandHitLate,
-        &life.evictedUnused, &life.residentAtEnd,
-        &life.latenessCycles,
-    };
-    for (std::size_t i = 0; i < 9; ++i) {
-        if (v.array[i].type != JsonValue::Type::Uint)
+    for (const JsonValue &e : v->array)
+        if (e.type != JsonValue::Type::Uint)
             return false;
-        *fields[i] = v.array[i].uintValue;
-    }
     return true;
 }
 
@@ -113,13 +90,34 @@ template <std::size_t N>
 bool
 readUintArray(const JsonValue *v, std::uint64_t (&out)[N])
 {
-    if (!v || v->type != JsonValue::Type::Array || v->array.size() != N)
+    if (!isUintArray(v, N))
         return false;
-    for (std::size_t i = 0; i < N; ++i) {
-        if (v->array[i].type != JsonValue::Type::Uint)
-            return false;
+    for (std::size_t i = 0; i < N; ++i)
         out[i] = v->array[i].uintValue;
-    }
+    return true;
+}
+
+/** @p s as one JSON array, in the order of its Counters table. */
+template <typename Stats>
+void
+writeCounters(JsonWriter &w, const Stats &s)
+{
+    w.beginArray();
+    for (auto counter : Stats::Counters)
+        w.value(s.*counter);
+    w.endArray();
+}
+
+/** Inverse of writeCounters(); false unless @p v holds exactly one
+ *  unsigned integer per counter. */
+template <typename Stats>
+bool
+readCounters(const JsonValue *v, Stats &s)
+{
+    if (!isUintArray(v, std::size(Stats::Counters)))
+        return false;
+    for (std::size_t i = 0; i < std::size(Stats::Counters); ++i)
+        s.*Stats::Counters[i] = v->array[i].uintValue;
     return true;
 }
 
@@ -176,36 +174,9 @@ checkpointCellLine(const SimResult &r)
     w.field("storage_bits", r.prefetcherStorageBits);
 
     w.key("core");
-    w.beginArray();
-    w.value(r.core.cycles);
-    w.value(r.core.instructions);
-    w.value(r.core.memInstructions);
-    w.value(r.core.branches);
-    w.value(r.core.branchMispredicts);
-    w.value(r.core.loopCycles);
-    w.value(r.core.robFullStalls);
-    w.value(r.core.lsqFullStalls);
-    w.endArray();
-
+    writeCounters(w, r.core);
     w.key("mem");
-    w.beginArray();
-    w.value(r.mem.l1dAccesses);
-    w.value(r.mem.l1dMisses);
-    w.value(r.mem.l1iAccesses);
-    w.value(r.mem.l1iMisses);
-    w.value(r.mem.demandL2Accesses);
-    w.value(r.mem.llcDemandMisses);
-    w.value(r.mem.wrongPrefetches);
-    w.value(r.mem.prefetchesRequested);
-    w.value(r.mem.prefetchesIssued);
-    w.value(r.mem.prefetchesFiltered);
-    w.value(r.mem.prefetchesDropped);
-    w.value(r.mem.dramBytesRead);
-    w.value(r.mem.dramBytesWritten);
-    w.value(r.mem.mshrStalls);
-    w.value(r.mem.crossCorePollutionMisses);
-    w.value(r.mem.l2BankConflicts);
-    w.endArray();
+    writeCounters(w, r.mem);
 
     if (r.cores > 1) {
         w.field("cores", static_cast<std::uint64_t>(r.cores));
@@ -215,30 +186,9 @@ checkpointCellLine(const SimResult &r)
             w.beginObject();
             w.field("workload", slice.workload);
             w.key("core");
-            w.beginArray();
-            w.value(slice.core.cycles);
-            w.value(slice.core.instructions);
-            w.value(slice.core.memInstructions);
-            w.value(slice.core.branches);
-            w.value(slice.core.branchMispredicts);
-            w.value(slice.core.loopCycles);
-            w.value(slice.core.robFullStalls);
-            w.value(slice.core.lsqFullStalls);
-            w.endArray();
+            writeCounters(w, slice.core);
             w.key("mem");
-            w.beginArray();
-            w.value(slice.mem.l1dAccesses);
-            w.value(slice.mem.l1dMisses);
-            w.value(slice.mem.l1iAccesses);
-            w.value(slice.mem.l1iMisses);
-            w.value(slice.mem.demandL2Accesses);
-            w.value(slice.mem.llcDemandMisses);
-            w.value(slice.mem.prefetchesRequested);
-            w.value(slice.mem.prefetchesIssued);
-            w.value(slice.mem.pollutionVictimMisses);
-            w.value(slice.mem.pollutionCausedMisses);
-            w.value(slice.mem.l2ResidentLines);
-            w.endArray();
+            writeCounters(w, slice.mem);
             w.endObject();
         }
         w.endArray();
@@ -259,30 +209,12 @@ checkpointCellLine(const SimResult &r)
     w.key("pf_life");
     w.beginArray();
     for (const auto &life : r.mem.pfLife)
-        writeLifecycle(w, life);
+        writeCounters(w, life);
     w.endArray();
 
-    // DRAM backend counters (per-bank vectors are diagnostics and
-    // intentionally not checkpointed; they reset to zero on resume).
     w.field("dram_backend", r.dramBackend);
     w.key("dram");
-    w.beginArray();
-    w.value(r.mem.dram.reads);
-    w.value(r.mem.dram.writes);
-    w.value(r.mem.dram.rowHits);
-    w.value(r.mem.dram.rowMisses);
-    w.value(r.mem.dram.rowClosed);
-    w.value(r.mem.dram.activates);
-    w.value(r.mem.dram.fawStalls);
-    w.value(r.mem.dram.refreshStalls);
-    w.value(r.mem.dram.prefetchesDeferred);
-    w.value(r.mem.dram.deferralCycles);
-    w.value(r.mem.dram.readQueueFullStalls);
-    w.value(r.mem.dram.writeDrains);
-    w.value(r.mem.dram.busBusyCycles);
-    w.value(r.mem.dram.readQueueDepthSum);
-    w.value(r.mem.dram.writeQueueDepthSum);
-    w.endArray();
+    writeCounters(w, r.mem.dram);
 
     w.endObject();
     return sealLine(w.str());
@@ -316,39 +248,10 @@ parseCheckpointCell(const std::string &line)
         return Error(Errc::Corrupt, "checkpoint cell missing keys");
     r.prefetcherStorageBits = v.uintOr("storage_bits", 0);
 
-    const JsonValue *core = v.find("core");
-    std::uint64_t core_fields[8];
-    if (!readUintArray(core, core_fields))
+    if (!readCounters(v.find("core"), r.core))
         return Error(Errc::Corrupt, "checkpoint cell bad core array");
-    r.core.cycles = core_fields[0];
-    r.core.instructions = core_fields[1];
-    r.core.memInstructions = core_fields[2];
-    r.core.branches = core_fields[3];
-    r.core.branchMispredicts = core_fields[4];
-    r.core.loopCycles = core_fields[5];
-    r.core.robFullStalls = core_fields[6];
-    r.core.lsqFullStalls = core_fields[7];
-
-    const JsonValue *mem = v.find("mem");
-    std::uint64_t mem_fields[16];
-    if (!readUintArray(mem, mem_fields))
+    if (!readCounters(v.find("mem"), r.mem))
         return Error(Errc::Corrupt, "checkpoint cell bad mem array");
-    r.mem.l1dAccesses = mem_fields[0];
-    r.mem.l1dMisses = mem_fields[1];
-    r.mem.l1iAccesses = mem_fields[2];
-    r.mem.l1iMisses = mem_fields[3];
-    r.mem.demandL2Accesses = mem_fields[4];
-    r.mem.llcDemandMisses = mem_fields[5];
-    r.mem.wrongPrefetches = mem_fields[6];
-    r.mem.prefetchesRequested = mem_fields[7];
-    r.mem.prefetchesIssued = mem_fields[8];
-    r.mem.prefetchesFiltered = mem_fields[9];
-    r.mem.prefetchesDropped = mem_fields[10];
-    r.mem.dramBytesRead = mem_fields[11];
-    r.mem.dramBytesWritten = mem_fields[12];
-    r.mem.mshrStalls = mem_fields[13];
-    r.mem.crossCorePollutionMisses = mem_fields[14];
-    r.mem.l2BankConflicts = mem_fields[15];
 
     r.cores = static_cast<unsigned>(v.uintOr("cores", 1));
     if (r.cores > 1) {
@@ -363,35 +266,14 @@ parseCheckpointCell(const std::string &line)
             const JsonValue &pc = per_core->array[c];
             CoreSliceResult &slice = r.perCore[c];
             slice.workload = pc.strOr("workload", "");
-            std::uint64_t cf[8];
-            if (!readUintArray(pc.find("core"), cf))
+            if (!readCounters(pc.find("core"), slice.core))
                 return Error(Errc::Corrupt,
                              "checkpoint cell bad per_core core "
                              "array");
-            slice.core.cycles = cf[0];
-            slice.core.instructions = cf[1];
-            slice.core.memInstructions = cf[2];
-            slice.core.branches = cf[3];
-            slice.core.branchMispredicts = cf[4];
-            slice.core.loopCycles = cf[5];
-            slice.core.robFullStalls = cf[6];
-            slice.core.lsqFullStalls = cf[7];
-            std::uint64_t mf[11];
-            if (!readUintArray(pc.find("mem"), mf))
+            if (!readCounters(pc.find("mem"), slice.mem))
                 return Error(Errc::Corrupt,
                              "checkpoint cell bad per_core mem "
                              "array");
-            slice.mem.l1dAccesses = mf[0];
-            slice.mem.l1dMisses = mf[1];
-            slice.mem.l1iAccesses = mf[2];
-            slice.mem.l1iMisses = mf[3];
-            slice.mem.demandL2Accesses = mf[4];
-            slice.mem.llcDemandMisses = mf[5];
-            slice.mem.prefetchesRequested = mf[6];
-            slice.mem.prefetchesIssued = mf[7];
-            slice.mem.pollutionVictimMisses = mf[8];
-            slice.mem.pollutionCausedMisses = mf[9];
-            slice.mem.l2ResidentLines = mf[10];
             r.mem.perCore[c] = slice.mem;
         }
     }
@@ -409,29 +291,13 @@ parseCheckpointCell(const std::string &line)
         return Error(Errc::Corrupt,
                      "checkpoint cell bad pf_life array");
     for (unsigned s = 0; s < NumPfSources; ++s)
-        if (!readLifecycle(pf_life->array[s], r.mem.pfLife[s]))
+        if (!readCounters(&pf_life->array[s], r.mem.pfLife[s]))
             return Error(Errc::Corrupt,
                          "checkpoint cell bad pf_life entry");
 
     r.dramBackend = v.strOr("dram_backend", "fixed");
-    std::uint64_t dram_fields[15];
-    if (!readUintArray(v.find("dram"), dram_fields))
+    if (!readCounters(v.find("dram"), r.mem.dram))
         return Error(Errc::Corrupt, "checkpoint cell bad dram array");
-    r.mem.dram.reads = dram_fields[0];
-    r.mem.dram.writes = dram_fields[1];
-    r.mem.dram.rowHits = dram_fields[2];
-    r.mem.dram.rowMisses = dram_fields[3];
-    r.mem.dram.rowClosed = dram_fields[4];
-    r.mem.dram.activates = dram_fields[5];
-    r.mem.dram.fawStalls = dram_fields[6];
-    r.mem.dram.refreshStalls = dram_fields[7];
-    r.mem.dram.prefetchesDeferred = dram_fields[8];
-    r.mem.dram.deferralCycles = dram_fields[9];
-    r.mem.dram.readQueueFullStalls = dram_fields[10];
-    r.mem.dram.writeDrains = dram_fields[11];
-    r.mem.dram.busBusyCycles = dram_fields[12];
-    r.mem.dram.readQueueDepthSum = dram_fields[13];
-    r.mem.dram.writeQueueDepthSum = dram_fields[14];
     return r;
 }
 

@@ -7,6 +7,7 @@
 #include <strings.h>
 
 #include "base/debug.hh"
+#include "base/decimal.hh"
 #include "base/faultinject.hh"
 #include "base/logging.hh"
 #include "base/profiler.hh"
@@ -410,12 +411,15 @@ parseMatrixShard(const std::string &text)
 std::uint64_t
 benchInstructionBudget(std::uint64_t fallback)
 {
-    if (const char *env = std::getenv("CBWS_BENCH_INSTS")) {
-        const unsigned long long v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
-    }
-    return fallback;
+    const char *env = std::getenv("CBWS_BENCH_INSTS");
+    if (!env)
+        return fallback;
+    std::uint64_t insts = 0;
+    if (!parseDecimal(env, insts) || insts == 0)
+        fatal("CBWS_BENCH_INSTS='%s' is not a positive decimal "
+              "instruction count",
+              env);
+    return insts;
 }
 
 } // namespace cbws

@@ -173,7 +173,8 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
 
 /**
  * Instruction budget for the benches: the CBWS_BENCH_INSTS
- * environment variable, or @p fallback when unset.
+ * environment variable, or @p fallback when unset. A value that is
+ * not a positive plain-decimal integer is fatal().
  */
 std::uint64_t benchInstructionBudget(std::uint64_t fallback = 120000);
 

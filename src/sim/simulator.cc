@@ -249,6 +249,7 @@ simulateMulti(const std::vector<const Trace *> &traces,
     result.mem = mem.stats();
     result.prefetcherStorageBits = prefetchers[0]->storageBits();
     std::vector<CoreSliceResult> slices(n);
+    Cycle slowest = 0;
     for (unsigned c = 0; c < n; ++c) {
         CoreSliceResult &slice = slices[c];
         slice.workload = workload_names[c];
@@ -257,21 +258,16 @@ simulateMulti(const std::vector<const Trace *> &traces,
             slice.mem = result.mem.perCore[c];
         // Aggregate: instructions and event counts sum across cores;
         // the run lasts as long as its slowest core.
-        result.core.instructions += slice.core.instructions;
-        result.core.memInstructions += slice.core.memInstructions;
-        result.core.branches += slice.core.branches;
-        result.core.branchMispredicts += slice.core.branchMispredicts;
-        result.core.loopCycles += slice.core.loopCycles;
-        result.core.robFullStalls += slice.core.robFullStalls;
-        result.core.lsqFullStalls += slice.core.lsqFullStalls;
-        result.core.cycles =
-            std::max(result.core.cycles, slice.core.cycles);
+        for (auto counter : CoreStats::Counters)
+            result.core.*counter += slice.core.*counter;
+        slowest = std::max(slowest, slice.core.cycles);
         if (c == 0) {
             result.workload = slice.workload;
         } else {
             result.workload += "+" + slice.workload;
         }
     }
+    result.core.cycles = slowest;
     if (n > 1)
         result.perCore = std::move(slices);
     if (probes.schemeMetrics) {

@@ -39,6 +39,8 @@ struct CoreSliceResult
                      static_cast<double>(core.instructions)
                    : 0.0;
     }
+
+    bool operator==(const CoreSliceResult &) const = default;
 };
 
 /** Everything measured by one simulation run. */
@@ -98,6 +100,9 @@ struct SimResult
                    ? ipc() / static_cast<double>(mem.dramBytesRead)
                    : 0.0;
     }
+
+    /** Exact equality of every field (resume and determinism tests). */
+    bool operator==(const SimResult &) const = default;
 };
 
 class MetricsRegistry;

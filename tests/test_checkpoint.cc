@@ -14,7 +14,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <unistd.h>
 #include <string>
@@ -56,111 +55,146 @@ seal(const std::string &object_text)
     return out;
 }
 
+/** Give every counter in @p s's Counters table the next value of
+ *  @p v. */
+template <typename Stats>
+void
+fillCounters(Stats &s, std::uint64_t &v)
+{
+    for (auto counter : Stats::Counters)
+        s.*counter = v++;
+}
+
 /** A SimResult with every serialised field holding a distinct,
- *  recognisable value. */
+ *  recognisable value; @p cores > 1 adds the per-core slices. */
 SimResult
-makeResult(std::uint64_t salt = 0)
+makeResult(std::uint64_t salt = 0, unsigned cores = 1)
 {
     SimResult r;
     r.workload = "unit-workload";
     r.prefetcher = "CBWS+SMS";
+    r.dramBackend = "ddr";
     r.prefetcherStorageBits = 12345 + salt;
-    r.core.cycles = 1000001 + salt;
-    r.core.instructions = 900002 + salt;
-    r.core.memInstructions = 300003 + salt;
-    r.core.branches = 100004 + salt;
-    r.core.branchMispredicts = 5005 + salt;
-    r.core.loopCycles = 600006 + salt;
-    r.core.robFullStalls = 7007 + salt;
-    r.core.lsqFullStalls = 808 + salt;
-    r.mem.l1dAccesses = 400009 + salt;
-    r.mem.l1dMisses = 30010 + salt;
-    r.mem.l1iAccesses = 500011 + salt;
-    r.mem.l1iMisses = 1212 + salt;
-    r.mem.demandL2Accesses = 31013 + salt;
-    r.mem.llcDemandMisses = 14014 + salt;
-    r.mem.wrongPrefetches = 1515 + salt;
-    r.mem.prefetchesRequested = 20016 + salt;
-    r.mem.prefetchesIssued = 18017 + salt;
-    r.mem.prefetchesFiltered = 1818 + salt;
-    r.mem.prefetchesDropped = 191 + salt;
-    r.mem.dramBytesRead = 9000020 + salt;
-    r.mem.dramBytesWritten = 2100021 + salt;
-    r.mem.mshrStalls = 2222 + salt;
     std::uint64_t v = 31 + salt;
+    fillCounters(r.core, v);
+    fillCounters(r.mem, v);
     for (auto &c : r.mem.classCounts)
         c = v++;
     for (auto &c : r.mem.latenessHist)
         c = v++;
-    for (auto &life : r.mem.pfLife) {
-        life.issued = v++;
-        life.dropped = v++;
-        life.merged = v++;
-        life.filled = v++;
-        life.demandHitTimely = v++;
-        life.demandHitLate = v++;
-        life.evictedUnused = v++;
-        life.residentAtEnd = v++;
-        life.latenessCycles = v++;
+    for (auto &life : r.mem.pfLife)
+        fillCounters(life, v);
+    fillCounters(r.mem.dram, v);
+    if (cores > 1) {
+        r.cores = cores;
+        r.perCore.resize(cores);
+        for (unsigned c = 0; c < cores; ++c) {
+            CoreSliceResult &slice = r.perCore[c];
+            slice.workload = "unit-workload-" + std::to_string(c);
+            fillCounters(slice.core, v);
+            fillCounters(slice.mem, v);
+            r.mem.perCore.push_back(slice.mem);
+        }
     }
-    r.dramBackend = "ddr";
-    r.mem.dram.reads = v++;
-    r.mem.dram.writes = v++;
-    r.mem.dram.rowHits = v++;
-    r.mem.dram.rowMisses = v++;
-    r.mem.dram.rowClosed = v++;
-    r.mem.dram.activates = v++;
-    r.mem.dram.fawStalls = v++;
-    r.mem.dram.refreshStalls = v++;
-    r.mem.dram.prefetchesDeferred = v++;
-    r.mem.dram.deferralCycles = v++;
-    r.mem.dram.readQueueFullStalls = v++;
-    r.mem.dram.writeDrains = v++;
-    r.mem.dram.busBusyCycles = v++;
-    r.mem.dram.readQueueDepthSum = v++;
-    r.mem.dram.writeQueueDepthSum = v++;
     return r;
 }
 
 ::testing::AssertionResult
 cellsIdentical(const SimResult &a, const SimResult &b)
 {
-    if (a.workload != b.workload)
-        return ::testing::AssertionFailure()
-               << "workload: " << a.workload << " vs " << b.workload;
-    if (a.prefetcher != b.prefetcher)
-        return ::testing::AssertionFailure()
-               << "prefetcher: " << a.prefetcher << " vs "
-               << b.prefetcher;
-    if (a.prefetcherStorageBits != b.prefetcherStorageBits)
-        return ::testing::AssertionFailure() << "storage bits differ";
-    if (std::memcmp(&a.core, &b.core, sizeof(a.core)) != 0)
-        return ::testing::AssertionFailure()
-               << a.workload << "/" << a.prefetcher
-               << ": CoreStats differ";
-    if (a.mem != b.mem)
-        return ::testing::AssertionFailure()
-               << a.workload << "/" << a.prefetcher
-               << ": HierarchyStats differ";
-    if (a.dramBackend != b.dramBackend)
-        return ::testing::AssertionFailure()
-               << "dram backend: " << a.dramBackend << " vs "
-               << b.dramBackend;
-    return ::testing::AssertionSuccess();
+    if (a == b)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << a.workload << "/" << a.prefetcher << " differs:\n  "
+           << checkpointCellLine(a) << "\n  " << checkpointCellLine(b);
 }
 
 TEST(CheckpointCell, LineRoundTripsBitExactly)
 {
-    const SimResult original = makeResult();
-    const std::string line = checkpointCellLine(original);
+    for (unsigned cores : {1u, 2u}) {
+        const SimResult original = makeResult(0, cores);
+        const std::string line = checkpointCellLine(original);
 
-    Result<SimResult> parsed = parseCheckpointCell(line);
-    ASSERT_TRUE(parsed.ok()) << parsed.error().str();
-    EXPECT_TRUE(cellsIdentical(original, parsed.value()));
+        Result<SimResult> parsed = parseCheckpointCell(line);
+        ASSERT_TRUE(parsed.ok()) << parsed.error().str();
+        EXPECT_TRUE(cellsIdentical(original, parsed.value()));
 
-    // The strongest form: re-serialising the parsed cell reproduces
-    // the identical line, checksum and all.
-    EXPECT_EQ(checkpointCellLine(parsed.value()), line);
+        // The strongest form: re-serialising the parsed cell
+        // reproduces the identical line, checksum and all.
+        EXPECT_EQ(checkpointCellLine(parsed.value()), line);
+    }
+}
+
+/** True when @p Stats's Counters table lists its members in
+ *  declaration (address) order. */
+template <typename Stats>
+bool
+countersInDeclarationOrder()
+{
+    const Stats s{};
+    const char *prev = nullptr;
+    for (auto counter : Stats::Counters) {
+        const char *at = reinterpret_cast<const char *>(&(s.*counter));
+        if (prev && at <= prev)
+            return false;
+        prev = at;
+    }
+    return true;
+}
+
+TEST(CheckpointCell, CounterTablesFollowDeclarationOrder)
+{
+    EXPECT_TRUE(countersInDeclarationOrder<CoreStats>());
+    EXPECT_TRUE(countersInDeclarationOrder<HierarchyStats>());
+    EXPECT_TRUE(countersInDeclarationOrder<CoreMemStats>());
+    EXPECT_TRUE(countersInDeclarationOrder<PrefetchLifecycle>());
+    EXPECT_TRUE(countersInDeclarationOrder<DramStats>());
+}
+
+/**
+ * Two v4 cells written by the hand-listed writer that preceded the
+ * Counters tables (stencil-default under CBWS+SMS at 20000
+ * instructions: one single-core `ddr` cell, one 2-core `fixed` cell).
+ * Every v4 build must read them and write them back byte for byte,
+ * with each array element landing in the same counter: adding,
+ * dropping or reordering a counter without bumping
+ * CheckpointSchemaVersion fails here.
+ */
+TEST(CheckpointCell, GoldenV4CellsRoundTripByteIdentically)
+{
+    std::ifstream in(std::string(CBWS_TESTS_DIR) +
+                     "/golden/checkpoint_cells_v4.jsonl");
+    ASSERT_TRUE(in) << "missing golden checkpoint_cells_v4.jsonl";
+    std::vector<SimResult> cells;
+    std::string line;
+    while (std::getline(in, line)) {
+        Result<SimResult> parsed = parseCheckpointCell(line);
+        ASSERT_TRUE(parsed.ok()) << parsed.error().str();
+        EXPECT_EQ(checkpointCellLine(parsed.value()), line);
+        cells.push_back(std::move(parsed).value());
+    }
+    ASSERT_EQ(cells.size(), 2u);
+
+    const SimResult &ddr = cells[0];
+    EXPECT_EQ(ddr.dramBackend, "ddr");
+    EXPECT_EQ(ddr.cores, 1u);
+    EXPECT_EQ(ddr.core.instructions, 15000u);
+    EXPECT_EQ(ddr.core.lsqFullStalls, 125603u);
+    EXPECT_EQ(ddr.mem.prefetchesIssued, 3732u);
+    EXPECT_EQ(ddr.mem.dram.rowHits, 1846u);
+    EXPECT_EQ(ddr.mem.dram.writeQueueDepthSum, 21795u);
+    EXPECT_EQ(ddr.mem.pfLife[5].latenessCycles, 497816u);
+
+    const SimResult &multi = cells[1];
+    EXPECT_EQ(multi.dramBackend, "fixed");
+    ASSERT_EQ(multi.cores, 2u);
+    ASSERT_EQ(multi.perCore.size(), 2u);
+    EXPECT_EQ(multi.core.instructions, 30000u);
+    EXPECT_EQ(multi.core.cycles, 83040u);
+    EXPECT_EQ(multi.mem.l2BankConflicts, 7534u);
+    EXPECT_EQ(multi.perCore[0].mem.l2ResidentLines, 1033u);
+    EXPECT_EQ(multi.perCore[0].mem.prefetchesRequested, 7432u);
+    EXPECT_EQ(multi.mem.perCore[0], multi.perCore[0].mem);
 }
 
 TEST(CheckpointCell, TamperedLineFailsItsChecksum)
@@ -423,8 +457,7 @@ class CheckpointResumeTest : public CheckpointFileTest
         MatrixOptions options;
         options.jobs = jobs;
         options.checkpointPath = checkpoint;
-        SystemConfig config;
-        return runMatrix(workloads_, kinds_, config, insts_, 42,
+        return runMatrix(workloads_, kinds_, config_, insts_, 42,
                          options);
     }
 
@@ -452,32 +485,48 @@ class CheckpointResumeTest : public CheckpointFileTest
 
     std::vector<WorkloadPtr> workloads_;
     std::vector<std::string> kinds_;
+    SystemConfig config_;
     static constexpr std::uint64_t insts_ = 8000;
 };
 
 TEST_F(CheckpointResumeTest, PartialCheckpointResumesBitIdentically)
 {
-    // Reference: an uninterrupted, uncheckpointed run.
-    const ExperimentMatrix reference = run(1);
+    // The default system, the banked DRAM model and a 2-core shared
+    // hierarchy: every counter of each must survive the round trip.
+    SystemConfig ddr;
+    ddr.mem.dramBackend = "ddr";
+    SystemConfig two_cores;
+    two_cores.mem.numCores = 2;
+    for (const SystemConfig &config : {SystemConfig(), ddr, two_cores}) {
+        SCOPED_TRACE(config.mem.dramBackend + " x" +
+                     std::to_string(config.mem.numCores));
+        config_ = config;
+        std::remove(path_.c_str());
 
-    // A full checkpointed run leaves header + provenance + 6 cell
-    // lines; cutting it back to 3 cells mimics a SIGKILL halfway through the
-    // matrix (the driver-level smoke test kills a real process; the
-    // unit test recreates the identical on-disk state).
-    const ExperimentMatrix full = run(1, path_);
-    EXPECT_TRUE(matricesIdentical(reference, full))
-        << "checkpointing must not perturb results";
-    auto lines = readLines();
-    ASSERT_EQ(lines.size(), 2u + 6u);
-    lines.resize(2 + 3);
+        // Reference: an uninterrupted, uncheckpointed run.
+        const ExperimentMatrix reference = run(1);
 
-    for (unsigned jobs : {1u, 8u}) {
-        writeLines(lines);
-        const ExperimentMatrix resumed = run(jobs, path_);
-        EXPECT_TRUE(matricesIdentical(reference, resumed))
-            << "jobs=" << jobs;
-        EXPECT_EQ(readLines().size(), 2u + 6u)
-            << "resume must complete the file (jobs=" << jobs << ")";
+        // A full checkpointed run leaves header + provenance + 6 cell
+        // lines; cutting it back to 3 cells mimics a SIGKILL halfway
+        // through the matrix (the driver-level smoke test kills a
+        // real process; the unit test recreates the identical on-disk
+        // state).
+        const ExperimentMatrix full = run(1, path_);
+        EXPECT_TRUE(matricesIdentical(reference, full))
+            << "checkpointing must not perturb results";
+        auto lines = readLines();
+        ASSERT_EQ(lines.size(), 2u + 6u);
+        lines.resize(2 + 3);
+
+        for (unsigned jobs : {1u, 8u}) {
+            writeLines(lines);
+            const ExperimentMatrix resumed = run(jobs, path_);
+            EXPECT_TRUE(matricesIdentical(reference, resumed))
+                << "jobs=" << jobs;
+            EXPECT_EQ(readLines().size(), 2u + 6u)
+                << "resume must complete the file (jobs=" << jobs
+                << ")";
+        }
     }
 }
 

@@ -145,8 +145,6 @@ TEST(DdrDram, RowHitIsFasterThanRowMissIsFasterThanNothing)
     EXPECT_LT(closed_latency, miss_latency);
     EXPECT_EQ(miss_latency - closed_latency, g.tRP)
         << "a conflict pays exactly the extra precharge";
-    EXPECT_EQ(b.stats().bankRowHits[0], 1u);
-    EXPECT_EQ(b.stats().bankRowMisses[0], 1u);
 }
 
 TEST(DdrDram, TfawNeverAdmitsAFifthActivateInTheWindow)
@@ -286,15 +284,21 @@ TEST(DdrDram, ResponsesAreMonotonePerBankAndDeterministic)
     EXPECT_TRUE(a.stats() == b.stats());
 }
 
-TEST(DdrDram, ResetStatsPreservesGeometryVectors)
+TEST(DdrDram, ResetStatsZeroesCountersButKeepsOpenRows)
 {
-    DdrBackend b(ddrParams());
-    b.read(demand(0, 0));
-    ASSERT_FALSE(b.stats().bankRowHits.empty());
+    HierarchyParams p = ddrParams();
+    p.ddr.tREFI = 0; // no refresh closes the row in between
+    DdrBackend b(p);
+    const DdrParams &g = b.timing();
+    const Cycle c0 = b.read(demand(lineAt(g, 0, 0, 0), 0));
     b.resetStats();
-    EXPECT_EQ(b.stats().reads, 0u);
-    EXPECT_EQ(b.stats().bankRowHits.size(),
-              static_cast<std::size_t>(b.timing().totalBanks()));
+    EXPECT_TRUE(b.stats() == DramStats());
+
+    // The row opened before the reset is still open after it.
+    b.read(demand(lineAt(g, 0, 0, 1), c0 + 10000));
+    EXPECT_EQ(b.stats().reads, 1u);
+    EXPECT_EQ(b.stats().rowHits, 1u);
+    EXPECT_EQ(b.stats().rowClosed, 0u);
 }
 
 // ---------------------------------------------------------------
@@ -374,13 +378,8 @@ class DdrMatrixTest : public ::testing::Test
                          options);
     }
 
-    /**
-     * Byte-identity of everything a cell publishes (the JSON report
-     * and the checkpoint line are both derived from these fields).
-     * Resumed cells lose only the per-bank diagnostic vectors, which
-     * are deliberately not checkpointed — comparing the serialised
-     * cell line is exactly the "byte-identical results" contract.
-     */
+    /** Exact equality of every field of every cell: what the JSON
+     *  report and the checkpoint line are both derived from. */
     static ::testing::AssertionResult
     matricesIdentical(const ExperimentMatrix &a,
                       const ExperimentMatrix &b)
@@ -388,18 +387,9 @@ class DdrMatrixTest : public ::testing::Test
         if (a.rows.size() != b.rows.size())
             return ::testing::AssertionFailure() << "row count";
         for (std::size_t r = 0; r < a.rows.size(); ++r) {
-            if (a.rows[r].byPrefetcher.size() !=
-                b.rows[r].byPrefetcher.size())
-                return ::testing::AssertionFailure() << "cell count";
-            for (std::size_t k = 0;
-                 k < a.rows[r].byPrefetcher.size(); ++k) {
-                const auto &x = a.rows[r].byPrefetcher[k];
-                const auto &y = b.rows[r].byPrefetcher[k];
-                if (checkpointCellLine(x) != checkpointCellLine(y))
-                    return ::testing::AssertionFailure()
-                           << x.workload << "/" << x.prefetcher
-                           << ": serialised cells differ";
-            }
+            if (a.rows[r].byPrefetcher != b.rows[r].byPrefetcher)
+                return ::testing::AssertionFailure()
+                       << a.rows[r].workload << ": cells differ";
         }
         return ::testing::AssertionSuccess();
     }

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 
 #include "sim/experiment.hh"
 #include "workloads/registry.hh"
@@ -34,28 +33,14 @@ sampleWorkloads()
     return ws;
 }
 
-/** Bitwise equality of two cells (POD stats + identity strings). */
+/** Exact equality of every field of two cells. */
 ::testing::AssertionResult
 cellsIdentical(const SimResult &a, const SimResult &b)
 {
-    if (a.workload != b.workload)
-        return ::testing::AssertionFailure()
-               << "workload: " << a.workload << " vs " << b.workload;
-    if (a.prefetcher != b.prefetcher)
-        return ::testing::AssertionFailure()
-               << "prefetcher: " << a.prefetcher << " vs "
-               << b.prefetcher;
-    if (a.prefetcherStorageBits != b.prefetcherStorageBits)
-        return ::testing::AssertionFailure() << "storage bits differ";
-    if (std::memcmp(&a.core, &b.core, sizeof(a.core)) != 0)
-        return ::testing::AssertionFailure()
-               << a.workload << "/" << a.prefetcher
-               << ": CoreStats differ";
-    if (a.mem != b.mem)
-        return ::testing::AssertionFailure()
-               << a.workload << "/" << a.prefetcher
-               << ": HierarchyStats differ";
-    return ::testing::AssertionSuccess();
+    if (a == b)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << a.workload << "/" << a.prefetcher << ": cells differ";
 }
 
 TEST(ParallelMatrix, FourJobsBitIdenticalToSerialAcrossAllKinds)

@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 
 #include "base/tuning.hh"
 #include "mem/hierarchy.hh"
@@ -44,39 +43,14 @@ setSkipAhead(bool skip_ahead)
     Tuning::get().skipAhead = skip_ahead;
 }
 
-/** Bitwise equality of two cells (POD stats + identity strings). */
+/** Exact equality of every field of two cells. */
 ::testing::AssertionResult
 cellsIdentical(const SimResult &a, const SimResult &b)
 {
-    if (a.workload != b.workload)
-        return ::testing::AssertionFailure()
-               << "workload: " << a.workload << " vs " << b.workload;
-    if (a.prefetcher != b.prefetcher)
-        return ::testing::AssertionFailure()
-               << "prefetcher: " << a.prefetcher << " vs "
-               << b.prefetcher;
-    if (a.prefetcherStorageBits != b.prefetcherStorageBits)
-        return ::testing::AssertionFailure() << "storage bits differ";
-    if (std::memcmp(&a.core, &b.core, sizeof(a.core)) != 0)
-        return ::testing::AssertionFailure()
-               << a.workload << "/" << a.prefetcher
-               << ": CoreStats differ";
-    if (a.mem != b.mem)
-        return ::testing::AssertionFailure()
-               << a.workload << "/" << a.prefetcher
-               << ": HierarchyStats differ";
-    if (a.perCore.size() != b.perCore.size())
-        return ::testing::AssertionFailure() << "perCore size differs";
-    for (std::size_t c = 0; c < a.perCore.size(); ++c) {
-        if (std::memcmp(&a.perCore[c].core, &b.perCore[c].core,
-                        sizeof(a.perCore[c].core)) != 0 ||
-            std::memcmp(&a.perCore[c].mem, &b.perCore[c].mem,
-                        sizeof(a.perCore[c].mem)) != 0) {
-            return ::testing::AssertionFailure()
-                   << "per-core slice " << c << " differs";
-        }
-    }
-    return ::testing::AssertionSuccess();
+    if (a == b)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << a.workload << "/" << a.prefetcher << ": cells differ";
 }
 
 ::testing::AssertionResult

@@ -220,6 +220,14 @@ TEST(Experiment, BudgetEnvOverride)
     EXPECT_EQ(benchInstructionBudget(4242), 4242u);
     setenv("CBWS_BENCH_INSTS", "777", 1);
     EXPECT_EQ(benchInstructionBudget(4242), 777u);
+    // Anything but a positive plain-decimal count is fatal, never a
+    // silent fallback or a truncated prefix.
+    for (const char *bad : {"20k", "abc", "0x100", " 5000", "0"}) {
+        setenv("CBWS_BENCH_INSTS", bad, 1);
+        EXPECT_EXIT(benchInstructionBudget(4242),
+                    testing::ExitedWithCode(1),
+                    std::string("CBWS_BENCH_INSTS='") + bad + "'");
+    }
     unsetenv("CBWS_BENCH_INSTS");
 }
 
