@@ -10,6 +10,26 @@
 namespace cbws
 {
 
+/*
+ * Trace file formats (docs/FORMATS.md points here).
+ *
+ * CBT1: the TraceFileHeader below ("CBT1", sizeof(TraceRecord), the
+ * record count), then the records as raw host-layout structs.
+ *
+ * CBT2: "CBT2", then the body tracecodec::encodeBody writes: a varint
+ * record count, then per record the class byte, the taken byte
+ * (0/1), a zigzag varint PC delta from the previous record, the
+ * src1/src2/dest/size bytes, and one operand varint: the zigzag
+ * effective-address delta from the previous memory record (Load,
+ * Store), the zigzag target - PC (Branch) or the block id (block
+ * markers); other classes have none. A varint carries 7 bits per
+ * byte, low group first, with the top bit set on every byte but the
+ * last; it is at most 10 bytes long and its 10th byte is at most
+ * 0x01. A longer or larger varint, a count the remaining bytes cannot
+ * hold at MinEncodedRecordBytes each, or a body that ends mid-record
+ * is corrupt. Bytes after the last record are ignored.
+ */
+
 namespace
 {
 
@@ -27,20 +47,6 @@ constexpr char TraceMagic2[4] = {'C', 'B', 'T', '2'};
 /** Smallest encoded CBT2 record: class, taken, a one-byte PC delta
  *  varint and the four register/size bytes. */
 constexpr std::uint64_t MinEncodedRecordBytes = 7;
-
-/** Bytes from @p f's position to its end; 0 when it cannot seek
- *  (trace files are regular files, never pipes). */
-std::uint64_t
-remainingBytes(std::FILE *f)
-{
-    const long pos = std::ftell(f);
-    if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0)
-        return 0;
-    const long end = std::ftell(f);
-    if (std::fseek(f, pos, SEEK_SET) != 0 || end < pos)
-        return 0;
-    return static_cast<std::uint64_t>(end - pos);
-}
 
 /** Zigzag encoding maps small signed deltas to small varints. */
 std::uint64_t
@@ -137,72 +143,109 @@ Trace::saveTo(const std::string &path) const
 namespace tracecodec
 {
 
-void
-putVarint(std::FILE *f, std::uint64_t v)
+namespace
+{
+
+/** Longest varint: 64 bits at 7 bits per byte. */
+constexpr std::size_t MaxVarintBytes = 10;
+
+/** Longest encoded CBT2 record: class, taken, the four
+ *  register/size bytes and two varints (PC delta and operand). */
+constexpr std::size_t MaxEncodedRecordBytes = 6 + 2 * MaxVarintBytes;
+
+/** Write @p v as a varint at @p p; one past its last byte. */
+unsigned char *
+encodeVarint(unsigned char *p, std::uint64_t v)
 {
     while (v >= 0x80) {
-        std::fputc(static_cast<int>((v & 0x7f) | 0x80), f);
+        *p++ = static_cast<unsigned char>((v & 0x7f) | 0x80);
         v >>= 7;
     }
-    std::fputc(static_cast<int>(v), f);
+    *p++ = static_cast<unsigned char>(v);
+    return p;
 }
 
+/**
+ * Decode the varint at @p p, reading no byte at or past @p end, and
+ * advance @p p past it. False on EOF or overflow.
+ */
 bool
-getVarint(std::FILE *f, std::uint64_t &v)
+decodeVarint(const unsigned char *&p, const unsigned char *end,
+             std::uint64_t &v)
 {
     v = 0;
-    unsigned shift = 0;
-    while (true) {
-        const int c = std::fgetc(f);
-        if (c == EOF || shift >= 64)
+    for (unsigned shift = 0; shift < 64; shift += 7) {
+        if (p == end)
+            return false;
+        const unsigned c = *p++;
+        // The 10th byte carries bit 63 alone.
+        if (shift == 63 && c > 0x01)
             return false;
         v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
         if (!(c & 0x80))
             return true;
-        shift += 7;
     }
+    return false;
 }
 
-bool
-writeBody(std::FILE *f, const std::vector<TraceRecord> &records)
+} // anonymous namespace
+
+void
+appendVarint(std::string &out, std::uint64_t v)
 {
-    putVarint(f, records.size());
+    unsigned char buf[MaxVarintBytes];
+    out.append(reinterpret_cast<const char *>(buf),
+               encodeVarint(buf, v) - buf);
+}
+
+void
+encodeBody(const std::vector<TraceRecord> &records, std::string &out)
+{
+    const std::size_t start = out.size();
+    out.resize(start + MaxVarintBytes +
+               records.size() * MaxEncodedRecordBytes);
+    unsigned char *const base =
+        reinterpret_cast<unsigned char *>(&out[0]);
+    unsigned char *p = encodeVarint(base + start, records.size());
     Addr prev_pc = 0;
     Addr prev_addr = 0;
     for (const auto &r : records) {
-        std::fputc(static_cast<int>(r.cls), f);
-        std::fputc(r.taken ? 1 : 0, f);
-        putVarint(f, zigzag(static_cast<std::int64_t>(r.pc) -
-                            static_cast<std::int64_t>(prev_pc)));
+        *p++ = static_cast<unsigned char>(r.cls);
+        *p++ = r.taken ? 1 : 0;
+        p = encodeVarint(p, zigzag(static_cast<std::int64_t>(r.pc) -
+                                   static_cast<std::int64_t>(prev_pc)));
         prev_pc = r.pc;
-        std::fputc(r.src1, f);
-        std::fputc(r.src2, f);
-        std::fputc(r.dest, f);
-        std::fputc(r.size, f);
+        *p++ = r.src1;
+        *p++ = r.src2;
+        *p++ = r.dest;
+        *p++ = r.size;
         if (isMemory(r.cls)) {
-            putVarint(f,
-                      zigzag(static_cast<std::int64_t>(r.effAddr) -
-                             static_cast<std::int64_t>(prev_addr)));
+            p = encodeVarint(
+                p, zigzag(static_cast<std::int64_t>(r.effAddr) -
+                          static_cast<std::int64_t>(prev_addr)));
             prev_addr = r.effAddr;
         } else if (r.cls == InstClass::Branch) {
-            putVarint(f,
-                      zigzag(static_cast<std::int64_t>(r.effAddr) -
-                             static_cast<std::int64_t>(r.pc)));
+            p = encodeVarint(
+                p, zigzag(static_cast<std::int64_t>(r.effAddr) -
+                          static_cast<std::int64_t>(r.pc)));
         } else if (isBlockMarker(r.cls)) {
-            putVarint(f, r.blockId);
+            p = encodeVarint(p, r.blockId);
         }
     }
-    return std::ferror(f) == 0;
+    out.resize(p - base);
 }
 
 bool
-readBody(std::FILE *f, std::vector<TraceRecord> &records)
+decodeBody(const unsigned char *p, std::size_t n,
+           std::vector<TraceRecord> &records)
 {
+    const unsigned char *const end = p + n;
     std::uint64_t count = 0;
-    // A count the rest of the file cannot hold is corrupt; trusting
+    // A count the rest of the bytes cannot hold is corrupt; trusting
     // it would let one flipped byte demand an impossible allocation.
-    if (!getVarint(f, count) ||
-        count > remainingBytes(f) / MinEncodedRecordBytes)
+    if (!decodeVarint(p, end, count) ||
+        count > static_cast<std::uint64_t>(end - p) /
+                    MinEncodedRecordBytes)
         return false;
     records.clear();
     records.reserve(count);
@@ -210,41 +253,37 @@ readBody(std::FILE *f, std::vector<TraceRecord> &records)
     Addr prev_addr = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         TraceRecord r;
-        const int cls = std::fgetc(f);
-        const int taken = std::fgetc(f);
-        if (cls == EOF || taken == EOF)
+        if (end - p < 2)
             return false;
-        r.cls = static_cast<InstClass>(cls);
-        r.taken = taken != 0;
+        r.cls = static_cast<InstClass>(p[0]);
+        r.taken = p[1] != 0;
+        p += 2;
         std::uint64_t v;
-        if (!getVarint(f, v))
+        if (!decodeVarint(p, end, v))
             return false;
         r.pc = static_cast<Addr>(static_cast<std::int64_t>(prev_pc) +
                                  unzigzag(v));
         prev_pc = r.pc;
-        const int s1 = std::fgetc(f);
-        const int s2 = std::fgetc(f);
-        const int dst = std::fgetc(f);
-        const int size = std::fgetc(f);
-        if (size == EOF)
+        if (end - p < 4)
             return false;
-        r.src1 = static_cast<RegIndex>(s1);
-        r.src2 = static_cast<RegIndex>(s2);
-        r.dest = static_cast<RegIndex>(dst);
-        r.size = static_cast<std::uint8_t>(size);
+        r.src1 = p[0];
+        r.src2 = p[1];
+        r.dest = p[2];
+        r.size = p[3];
+        p += 4;
         if (isMemory(r.cls)) {
-            if (!getVarint(f, v))
+            if (!decodeVarint(p, end, v))
                 return false;
             r.effAddr = static_cast<Addr>(
                 static_cast<std::int64_t>(prev_addr) + unzigzag(v));
             prev_addr = r.effAddr;
         } else if (r.cls == InstClass::Branch) {
-            if (!getVarint(f, v))
+            if (!decodeVarint(p, end, v))
                 return false;
             r.effAddr = static_cast<Addr>(
                 static_cast<std::int64_t>(r.pc) + unzigzag(v));
         } else if (isBlockMarker(r.cls)) {
-            if (!getVarint(f, v))
+            if (!decodeVarint(p, end, v))
                 return false;
             r.blockId = static_cast<BlockId>(v);
         }
@@ -253,17 +292,33 @@ readBody(std::FILE *f, std::vector<TraceRecord> &records)
     return true;
 }
 
+bool
+readAll(std::FILE *f, std::string &bytes)
+{
+    bytes.clear();
+    if (std::fseek(f, 0, SEEK_END) != 0)
+        return false;
+    const long size = std::ftell(f);
+    if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0)
+        return false;
+    bytes.resize(static_cast<std::size_t>(size));
+    return bytes.empty() ||
+           std::fread(&bytes[0], 1, bytes.size(), f) == bytes.size();
+}
+
 } // namespace tracecodec
 
 Result<void>
 Trace::saveCompressed(const std::string &path) const
 {
+    std::string bytes(TraceMagic2, sizeof(TraceMagic2));
+    tracecodec::encodeBody(records_, bytes);
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
         return Error(Errc::IoError,
                      path + ": cannot open for writing");
-    std::fwrite(TraceMagic2, 1, sizeof(TraceMagic2), f);
-    bool ok = tracecodec::writeBody(f, records_);
+    bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) ==
+              bytes.size();
     ok = std::fclose(f) == 0 && ok;
     if (!ok)
         return Error(Errc::IoError, path + ": short write");
@@ -290,31 +345,35 @@ Trace::loadFrom(const std::string &path)
     if (!f)
         return Error(Errc::IoError,
                      path + ": cannot open for reading");
-    char magic[4];
-    bool ok = std::fread(magic, 1, sizeof(magic), f) == sizeof(magic);
-    if (ok && std::memcmp(magic, TraceMagic2, sizeof(magic)) == 0) {
-        ok = tracecodec::readBody(f, records_);
-    } else if (ok &&
-               std::memcmp(magic, TraceMagic, sizeof(magic)) == 0) {
+    std::string bytes;
+    bool ok = tracecodec::readAll(f, bytes);
+    std::fclose(f);
+    const auto *p = reinterpret_cast<const unsigned char *>(bytes.data());
+    const std::size_t n = bytes.size();
+    TraceFileHeader hdr;
+    ok = ok && n >= sizeof(hdr.magic);
+    if (ok && std::memcmp(p, TraceMagic2, sizeof(TraceMagic2)) == 0) {
+        ok = tracecodec::decodeBody(p + sizeof(TraceMagic2),
+                                    n - sizeof(TraceMagic2), records_);
+    } else if (ok && std::memcmp(p, TraceMagic, sizeof(TraceMagic)) == 0) {
         // CBT1: raw records after the fixed header.
-        TraceFileHeader hdr;
-        std::memcpy(hdr.magic, magic, sizeof(magic));
-        ok = std::fread(&hdr.recordSize,
-                        sizeof(hdr) - sizeof(hdr.magic), 1, f) == 1 &&
-             hdr.recordSize == sizeof(TraceRecord) &&
-             hdr.numRecords <= remainingBytes(f) / sizeof(TraceRecord);
+        ok = n >= sizeof(hdr);
+        if (ok) {
+            std::memcpy(&hdr, p, sizeof(hdr));
+            ok = hdr.recordSize == sizeof(TraceRecord) &&
+                 hdr.numRecords <=
+                     (n - sizeof(hdr)) / sizeof(TraceRecord);
+        }
         if (ok) {
             records_.resize(hdr.numRecords);
             if (hdr.numRecords > 0) {
-                ok = std::fread(records_.data(), sizeof(TraceRecord),
-                                records_.size(),
-                                f) == records_.size();
+                std::memcpy(records_.data(), p + sizeof(hdr),
+                            records_.size() * sizeof(TraceRecord));
             }
         }
     } else {
         ok = false;
     }
-    std::fclose(f);
     if (!ok) {
         records_.clear();
         return Error(Errc::Corrupt,

@@ -24,29 +24,39 @@ struct DecodedTrace;
 /**
  * The CBT2 record codec (per-field delta + varint encoding) and its
  * varints, shared by Trace::saveCompressed/loadFrom and the on-disk
- * trace cache.
- * Both operate on an already-positioned stdio stream: the caller
- * owns the surrounding magic/header bytes.
+ * trace cache. It works on memory: callers read or write each file
+ * with one fread/fwrite and own the surrounding magic/header bytes.
+ *
+ * A varint is LEB128-style: 7 bits per byte, low group first, the
+ * top bit set on every byte but the last. It takes at most 10 bytes,
+ * and the 10th byte is at most 0x01 (it holds bit 63 only); anything
+ * longer or larger is corrupt.
  */
 namespace tracecodec
 {
 
-/** Append @p v as an LEB128-style unsigned varint. */
-void putVarint(std::FILE *f, std::uint64_t v);
+/** Append @p v to @p out as a varint. */
+void appendVarint(std::string &out, std::uint64_t v);
 
-/** Read a varint written by putVarint(); false on EOF or overflow. */
-bool getVarint(std::FILE *f, std::uint64_t &v);
-
-/** Append the record count + encoded records to @p f. */
-bool writeBody(std::FILE *f, const std::vector<TraceRecord> &records);
+/** Append the record count + encoded records to @p out. */
+void encodeBody(const std::vector<TraceRecord> &records,
+                std::string &out);
 
 /**
- * Decode a body written by writeBody() into @p records (replacing
- * its contents). Returns false on EOF/corruption, including a record
- * count the rest of the file is too short to hold; @p records is
- * then in an unspecified state and the caller must discard it.
+ * Decode the @p n bytes at @p p, written by encodeBody(), into
+ * @p records (replacing its contents). Returns false on EOF or
+ * corruption, including a record count the @p n bytes are too short
+ * to hold; @p records is then in an unspecified state and the caller
+ * must discard it.
  */
-bool readBody(std::FILE *f, std::vector<TraceRecord> &records);
+bool decodeBody(const unsigned char *p, std::size_t n,
+                std::vector<TraceRecord> &records);
+
+/**
+ * Replace @p bytes with the whole of the file @p f, read with one
+ * fread. False on a seek or read error.
+ */
+bool readAll(std::FILE *f, std::string &bytes);
 
 } // namespace tracecodec
 

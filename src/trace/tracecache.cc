@@ -21,25 +21,29 @@ namespace
 constexpr char CacheMagic[4] = {'C', 'B', 'T', 'C'};
 constexpr std::uint32_t CacheVersion = 1;
 
-using tracecodec::getVarint;
-using tracecodec::putVarint;
-
-void
-putString(std::FILE *f, const std::string &s)
+/**
+ * The bytes an entry for @p key starts with: magic, format version,
+ * sizeof(TraceRecord), then the key (name length, name, budget and
+ * seed as varints). The key is embedded redundantly with the
+ * filename, and a load serves an entry only when these bytes match
+ * exactly: a renamed file, one regenerated under different
+ * parameters or one written by a binary with another format or
+ * TraceRecord layout is never served (stale-key protection).
+ */
+std::string
+entryHeader(const TraceCache::Key &key)
 {
-    putVarint(f, s.size());
-    std::fwrite(s.data(), 1, s.size(), f);
-}
-
-bool
-getString(std::FILE *f, std::string &s)
-{
-    std::uint64_t len = 0;
-    if (!getVarint(f, len) || len > 4096)
-        return false;
-    s.resize(len);
-    return len == 0 ||
-           std::fread(&s[0], 1, len, f) == len;
+    const std::uint32_t rec_size = sizeof(TraceRecord);
+    std::string bytes(CacheMagic, sizeof(CacheMagic));
+    bytes.append(reinterpret_cast<const char *>(&CacheVersion),
+                 sizeof(CacheVersion));
+    bytes.append(reinterpret_cast<const char *>(&rec_size),
+                 sizeof(rec_size));
+    tracecodec::appendVarint(bytes, key.workload.size());
+    bytes += key.workload;
+    tracecodec::appendVarint(bytes, key.maxInstructions);
+    tracecodec::appendVarint(bytes, key.seed);
+    return bytes;
 }
 
 /** Keep the filename readable while staying filesystem-safe. */
@@ -133,28 +137,15 @@ TraceCache::load(const Key &key, Trace &trace) const
         ++misses_;
         return Error(Errc::NotFound, path + ": not cached");
     }
-
-    char magic[4];
-    std::uint32_t version = 0;
-    std::uint32_t rec_size = 0;
-    std::string workload;
-    std::uint64_t insts = 0;
-    std::uint64_t seed = 0;
-    bool ok =
-        std::fread(magic, 1, sizeof(magic), f) == sizeof(magic) &&
-        std::memcmp(magic, CacheMagic, sizeof(magic)) == 0 &&
-        std::fread(&version, sizeof(version), 1, f) == 1 &&
-        version == CacheVersion &&
-        std::fread(&rec_size, sizeof(rec_size), 1, f) == 1 &&
-        rec_size == sizeof(TraceRecord) && getString(f, workload) &&
-        getVarint(f, insts) && getVarint(f, seed);
-    // The key is embedded redundantly with the filename: a renamed or
-    // regenerated-under-different-parameters file must never be
-    // served (stale-key protection).
-    ok = ok && workload == key.workload &&
-         insts == key.maxInstructions && seed == key.seed;
-    ok = ok && tracecodec::readBody(f, trace.records());
+    std::string bytes;
+    bool ok = tracecodec::readAll(f, bytes);
     std::fclose(f);
+    const std::string header = entryHeader(key);
+    ok = ok && bytes.compare(0, header.size(), header) == 0 &&
+         tracecodec::decodeBody(
+             reinterpret_cast<const unsigned char *>(bytes.data()) +
+                 header.size(),
+             bytes.size() - header.size(), trace.records());
     if (FaultInjector::instance().shouldFire(
             FaultSite::TraceCacheCorrupt))
         ok = false;
@@ -188,19 +179,15 @@ TraceCache::store(const Key &key, const Trace &trace) const
     const std::string tmp = path + ".tmp." +
                             std::to_string(::getpid()) + "." +
                             std::to_string(unique.fetch_add(1));
+    std::string bytes = entryHeader(key);
+    tracecodec::encodeBody(trace.records(), bytes);
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f) {
         warn("trace cache: cannot write '%s'", tmp.c_str());
         return Error(Errc::IoError, tmp + ": cannot open for write");
     }
-    std::fwrite(CacheMagic, 1, sizeof(CacheMagic), f);
-    std::fwrite(&CacheVersion, sizeof(CacheVersion), 1, f);
-    const std::uint32_t rec_size = sizeof(TraceRecord);
-    std::fwrite(&rec_size, sizeof(rec_size), 1, f);
-    putString(f, key.workload);
-    putVarint(f, key.maxInstructions);
-    putVarint(f, key.seed);
-    bool ok = tracecodec::writeBody(f, trace.records());
+    bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) ==
+              bytes.size();
     ok = std::fclose(f) == 0 && ok;
     if (ok)
         ok = std::rename(tmp.c_str(), path.c_str()) == 0;

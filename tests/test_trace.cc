@@ -240,6 +240,40 @@ TEST(TraceFile, CompressedCountBeyondFileIsCorrupt)
     std::remove(path.c_str());
 }
 
+TEST(TraceFile, OverflowingVarintIsCorrupt)
+{
+    // The count varint's 10th byte holds bit 63 alone, so 0x02 there
+    // overflows 64 bits; dropping the bit would read a count of 0.
+    std::string path = writeFile(
+        "cbws_trace_overflow.bin",
+        std::string("CBT2\x80\x80\x80\x80\x80\x80\x80\x80\x80\x02",
+                    14));
+    Trace t;
+    t.append(TraceRecord::alu(1, 1)); // must be cleared
+    Result<void> r = t.loadFrom(path);
+    EXPECT_EQ(r.code(), Errc::Corrupt);
+    EXPECT_TRUE(t.empty());
+    std::remove(path.c_str());
+
+    // One IntAlu record whose PC delta is the longest varint: with
+    // 0x01 as its 10th byte it decodes, with 0x02 it overflows.
+    for (const char tenth : {'\x01', '\x02'}) {
+        path = writeFile("cbws_trace_overflow.bin",
+                         std::string("CBT2\x01\0\0", 7) +
+                             std::string(9, '\xff') + tenth +
+                             std::string(4, '\0'));
+        r = t.loadFrom(path);
+        if (tenth == '\x01') {
+            ASSERT_TRUE(r.ok());
+            ASSERT_EQ(t.size(), 1u);
+            EXPECT_EQ(t[0].pc, 1ull << 63); // zigzag(-2^63) = 2^64 - 1
+        } else {
+            EXPECT_EQ(r.code(), Errc::Corrupt);
+        }
+        std::remove(path.c_str());
+    }
+}
+
 TEST(TraceFile, RawCountBeyondFileIsCorrupt)
 {
     // A CBT1 header claiming 2^40 records over a one-record body.
