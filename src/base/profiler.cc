@@ -49,8 +49,6 @@ toString(Phase phase)
         return "checkpoint_io";
       case Phase::TraceCacheIO:
         return "trace_cache_io";
-      case Phase::DecodeBatch:
-        return "decode_batch";
       case Phase::Fetch:
         return "fetch";
       case Phase::Dispatch:
@@ -88,8 +86,6 @@ describe(Phase phase)
         return "checkpoint append (seal, write, flush)";
       case Phase::TraceCacheIO:
         return "on-disk trace cache load/store";
-      case Phase::DecodeBatch:
-        return "SoA batch pre-decode of trace records";
       case Phase::Fetch:
         return "OoO fetch: branch prediction, L1I access";
       case Phase::Dispatch:

@@ -64,7 +64,6 @@ enum class Phase : unsigned
     SnapshotIO,     ///< JSONL stats-snapshot serialisation + write
     CheckpointIO,   ///< checkpoint open/append (seal, write, flush)
     TraceCacheIO,   ///< on-disk trace-cache load/store
-    DecodeBatch,    ///< SoA batch pre-decode of trace records
     Fetch,          ///< OoO fetch stage (branch predict, L1I)
     Dispatch,       ///< OoO dispatch: rename, wake-list linking
     Issue,          ///< OoO issue-select, forwarding, load execute

@@ -80,8 +80,6 @@ OooCore::begin(const Trace &trace, std::uint64_t max_insts,
                std::uint64_t warmup_insts,
                const std::function<void(Cycle)> &on_warmup)
 {
-    static_assert(DecodedTrace::NoProd == NoProducer,
-                  "pre-decoded producer sentinel must match the core's");
     // The ready list wakes a consumer only after its producer's issue
     // stage has passed it, so every completion must land at least one
     // cycle after its issue.
@@ -89,9 +87,14 @@ OooCore::begin(const Trace &trace, std::uint64_t max_insts,
                  params_.fpLatency == 0 ||
                  mem_.params().l1d.latency == 0,
              "core: execution and L1D hit latencies must be >= 1 cycle");
+    // A producer's trace index is its sequence number; NoProducer
+    // must stay out of the index space.
+    fatal_if(trace.size() >= NoProducer,
+             "core: trace of %zu records overflows the 32-bit producer "
+             "index space",
+             trace.size());
     records_ = trace.records().data();
     traceSize_ = trace.size();
-    decoded_ = &trace.ensureDecoded();
     maxInsts_ = max_insts;
     warmupInsts_ = warmup_insts;
     onCommit_ = on_commit;
@@ -121,6 +124,8 @@ OooCore::begin(const Trace &trace, std::uint64_t max_insts,
     traceIdx_ = 0;
     fetchAllowedAt_ = 0;
     lastFetchLine_ = ~LineAddr(0);
+    fetchInBlock_ = false;
+    lastWriter_.fill(NoProducer);
     ldqCount_ = 0;
     stqCount_ = 0;
     lastCommittedInBlock_ = false;
@@ -282,8 +287,7 @@ OooCore::issueStage(Cycle now)
             }
             // Store-to-load forwarding: an older, uncommitted store
             // to the same line supplies the data.
-            const Cycle fwd_ready =
-                forwardFrom(p, decoded_->effLine[e.idx], now);
+            const Cycle fwd_ready = forwardFrom(p, rec.line(), now);
             if (fwd_ready == Never)
                 continue; // wait for the store to issue
             if (fwd_ready != 0) {
@@ -362,9 +366,8 @@ OooCore::dispatchStage(Cycle now)
             std::size_t q = sqHead_ + stqCount_;
             if (q >= storeQueue_.size())
                 q -= storeQueue_.size();
-            storeQueue_[q] = StoreEntry{decoded_->effLine[fe.idx],
-                                        static_cast<std::uint32_t>(
-                                            phys)};
+            storeQueue_[q] = StoreEntry{
+                rec.line(), static_cast<std::uint32_t>(phys)};
             ++stqCount_;
         }
         RobEntry &slot = rob_[phys];
@@ -374,21 +377,26 @@ OooCore::dispatchStage(Cycle now)
         slot.inBlock = fe.inBlock;
         wakeHead_[phys] = NoLink;
         blockedUntil_[phys] = 0;
+        // Rename: the sources resolve to the latest older writers
+        // before this record claims its destination, so a record
+        // with dest == src reads its older producer. A producer's
+        // trace index is its sequence number.
+        const std::uint32_t srcs[2] = {
+            rec.src1 != InvalidReg ? lastWriter_[rec.src1] : NoProducer,
+            rec.src2 != InvalidReg ? lastWriter_[rec.src2] : NoProducer};
+        if (rec.dest != InvalidReg)
+            lastWriter_[rec.dest] = fe.idx;
         if (isBlockMarker(rec.cls) || rec.cls == InstClass::Nop) {
             // Markers are architectural no-ops: complete immediately
             // without consuming a functional unit or a ready bit.
             readyAt_[phys] = now;
         } else {
-            // Rename result precomputed by the SoA decode (the
-            // producer's trace index is its sequence number). A
-            // producer still in the ROB that has not issued gets
+            // A producer still in the ROB that has not issued gets
             // this entry on its wake list; an issued one bounds the
             // issue cycle directly.
             readyAt_[phys] = Never;
             Cycle bound = 0;
             unsigned pending = 0;
-            const std::uint32_t srcs[2] = {decoded_->src1Prod[fe.idx],
-                                           decoded_->src2Prod[fe.idx]};
             for (unsigned k = 0; k < 2; ++k) {
                 const std::uint32_t seq = srcs[k];
                 if (seq == NoProducer || seq < headSeq_)
@@ -435,7 +443,7 @@ OooCore::fetchStage(Cycle now)
     while (fetched < params_.width && fqCount_ < fq_cap &&
            traceIdx_ < traceSize_ && now >= fetchAllowedAt_) {
         const TraceRecord &rec = records_[traceIdx_];
-        const LineAddr fetch_line = decoded_->pcLine[traceIdx_];
+        const LineAddr fetch_line = lineOf(rec.pc);
         if (fetch_line != lastFetchLine_) {
             AccessOutcome out = mem_.fetch(rec.pc, now, coreId_);
             if (!out.ok)
@@ -448,10 +456,14 @@ OooCore::fetchStage(Cycle now)
             }
         }
 
+        // BLOCK_END itself counts as inside its block.
+        if (rec.cls == InstClass::BlockBegin)
+            fetchInBlock_ = true;
         FetchEntry e;
         e.idx = static_cast<std::uint32_t>(traceIdx_);
-        e.inBlock =
-            (decoded_->flags[traceIdx_] & DecodedTrace::InBlock) != 0;
+        e.inBlock = fetchInBlock_ || rec.cls == InstClass::BlockEnd;
+        if (rec.cls == InstClass::BlockEnd)
+            fetchInBlock_ = false;
 
         ++traceIdx_;
         ++fetched;
@@ -569,7 +581,6 @@ OooCore::finish(Cycle end)
     }
     records_ = nullptr;
     traceSize_ = 0;
-    decoded_ = nullptr;
     return stats_;
 }
 

@@ -5,9 +5,9 @@
  * The core consumes a TraceRecord stream and models a 4-wide OoO
  * pipeline per Table II: 128-entry ROB, 32/32 LDQ/STQ, 6 functional
  * units, a tournament branch predictor, and fetch through the L1I.
- * Scheduling is dependency-driven: each architectural register carries
- * the cycle its value becomes available (ready-cycle scoreboard, which
- * is equivalent to perfect renaming — WAR/WAW hazards do not stall).
+ * Scheduling is dependency-driven: each source operand waits for the
+ * latest older writer of its register (perfect renaming — WAR/WAW
+ * hazards do not stall).
  *
  * Traces contain only correct-path instructions, so branch
  * mispredictions are modelled as fetch stalls: fetch is suspended from
@@ -29,9 +29,10 @@
  *  - ROB entries hold a trace *index* instead of a record copy; a
  *    record's sequence number equals its trace index because every
  *    record dispatches exactly once, in program order.
- *  - Dispatch reads the trace's SoA pre-decode (trace/decoded.hh):
- *    renamed source producers, fetch/effective lines and block
- *    membership.
+ *  - Dispatch renames through a last-writer table: per architectural
+ *    register, the trace index (== sequence number) of its latest
+ *    dispatched writer. Fetch and issue derive cache lines and block
+ *    membership from the record they already read.
  *  - Ready list: at dispatch an entry joins the wake list of each
  *    producer that has not issued and counts them; a producer's
  *    issue folds its completion cycle into each consumer's issue
@@ -52,6 +53,7 @@
 #ifndef CBWS_CPU_CORE_HH
 #define CBWS_CPU_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -60,7 +62,6 @@
 
 #include "cpu/branch_pred.hh"
 #include "mem/hierarchy.hh"
-#include "trace/decoded.hh"
 #include "trace/trace.hh"
 
 namespace cbws
@@ -378,9 +379,6 @@ class OooCore
     /** Contiguous record array of the running trace. */
     const TraceRecord *records_ = nullptr;
     std::size_t traceSize_ = 0;
-    /** SoA pre-decode of the running trace: fetch/effective lines,
-     *  renamed source producers and block membership. */
-    const DecodedTrace *decoded_ = nullptr;
     std::uint64_t maxInsts_ = 0;
     std::uint64_t warmupInsts_ = 0;
     CommitHook onCommit_;
@@ -435,6 +433,11 @@ class OooCore
     std::size_t traceIdx_ = 0;
     Cycle fetchAllowedAt_ = 0;
     LineAddr lastFetchLine_ = ~LineAddr(0);
+    /** Fetch is between a BLOCK_BEGIN and its BLOCK_END. */
+    bool fetchInBlock_ = false;
+    /** Per architectural register, the trace index (== sequence
+     *  number) of the latest dispatched writer, or NoProducer. */
+    std::array<std::uint32_t, NumArchRegs> lastWriter_{};
     unsigned ldqCount_ = 0;
     unsigned stqCount_ = 0; ///< also the store queue's occupancy
     bool lastCommittedInBlock_ = false;

@@ -244,11 +244,7 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
     // Phase 1: synthesise (or load from the trace cache) every needed
     // workload's trace, one cell per workload. Each trace is written
     // exactly once and only read afterwards, so the simulation phase
-    // shares them without copies or locks. The SoA pre-decode is
-    // built here too — by the single worker that owns the trace —
-    // because Trace::ensureDecoded() is not safe to race from the
-    // simulation phase's concurrent cells; afterwards all kinds of a
-    // row replay the same read-only buffers.
+    // shares them without copies or locks.
     std::vector<Trace> traces(num_workloads);
     std::vector<char> trace_done(num_workloads, 0);
     {
@@ -267,7 +263,6 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
                                       seed};
             if (options.traceCache &&
                 options.traceCache->load(key, trace).ok()) {
-                trace.ensureDecoded();
                 trace_done[w] = 1;
                 meter.advance(true);
                 return;
@@ -279,7 +274,6 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
             }
             if (options.traceCache)
                 options.traceCache->store(key, trace);
-            trace.ensureDecoded();
             trace_done[w] = 1;
             meter.advance(false);
         });

@@ -1,11 +1,10 @@
 #include "trace/trace.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
 #include "base/logging.hh"
-#include "base/profiler.hh"
-#include "trace/decoded.hh"
 
 namespace cbws
 {
@@ -28,6 +27,10 @@ namespace cbws
  * 0x01. A longer or larger varint, a count the remaining bytes cannot
  * hold at MinEncodedRecordBytes each, or a body that ends mid-record
  * is corrupt. Bytes after the last record are ignored.
+ *
+ * In both formats a record whose class lies past InstClass::Nop, or
+ * whose src1/src2/dest byte is neither below NumArchRegs nor
+ * InvalidReg, makes the file corrupt.
  */
 
 namespace
@@ -61,6 +64,23 @@ unzigzag(std::uint64_t v)
 {
     return static_cast<std::int64_t>(v >> 1) ^
            -static_cast<std::int64_t>(v & 1);
+}
+
+/** A register byte the core can rename: an architectural register
+ *  or InvalidReg. */
+bool
+validReg(RegIndex reg)
+{
+    return reg < NumArchRegs || reg == InvalidReg;
+}
+
+/** Whether a loaded record's class and register bytes are in range;
+ *  the core indexes its rename table by the registers. */
+bool
+validRecord(const TraceRecord &r)
+{
+    return r.cls <= InstClass::Nop && validReg(r.src1) &&
+           validReg(r.src2) && validReg(r.dest);
 }
 
 } // anonymous namespace
@@ -287,6 +307,8 @@ decodeBody(const unsigned char *p, std::size_t n,
                 return false;
             r.blockId = static_cast<BlockId>(v);
         }
+        if (!validRecord(r))
+            return false;
         records.push_back(r);
     }
     return true;
@@ -325,22 +347,9 @@ Trace::saveCompressed(const std::string &path) const
     return Result<void>();
 }
 
-const DecodedTrace &
-Trace::ensureDecoded() const
-{
-    if (!decoded_) {
-        PROF_SCOPE(prof::Phase::DecodeBatch);
-        decoded_ =
-            std::make_shared<const DecodedTrace>(
-                DecodedTrace::build(records_));
-    }
-    return *decoded_;
-}
-
 Result<void>
 Trace::loadFrom(const std::string &path)
 {
-    decoded_.reset();
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         return Error(Errc::IoError,
@@ -370,6 +379,8 @@ Trace::loadFrom(const std::string &path)
                 std::memcpy(records_.data(), p + sizeof(hdr),
                             records_.size() * sizeof(TraceRecord));
             }
+            ok = std::all_of(records_.begin(), records_.end(),
+                             validRecord);
         }
     } else {
         ok = false;

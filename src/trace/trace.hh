@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,8 +17,6 @@
 
 namespace cbws
 {
-
-struct DecodedTrace;
 
 /**
  * The CBT2 record codec (per-field delta + varint encoding) and its
@@ -67,12 +64,7 @@ bool readAll(std::FILE *f, std::string &bytes);
 class Trace
 {
   public:
-    void
-    append(const TraceRecord &rec)
-    {
-        decoded_.reset();
-        records_.push_back(rec);
-    }
+    void append(const TraceRecord &rec) { records_.push_back(rec); }
 
     const TraceRecord &operator[](std::size_t i) const
     {
@@ -82,44 +74,22 @@ class Trace
     std::size_t size() const { return records_.size(); }
     bool empty() const { return records_.empty(); }
 
-    void
-    clear()
-    {
-        decoded_.reset();
-        records_.clear();
-    }
+    void clear() { records_.clear(); }
 
     void reserve(std::size_t n) { records_.reserve(n); }
 
     auto begin() const { return records_.begin(); }
     auto end() const { return records_.end(); }
 
-    /** Mutable record access conservatively drops any cached decode
-     *  (the caller may rewrite records). */
-    std::vector<TraceRecord> &
-    records()
-    {
-        decoded_.reset();
-        return records_;
-    }
+    std::vector<TraceRecord> &records() { return records_; }
 
     const std::vector<TraceRecord> &records() const { return records_; }
 
     /**
-     * Cached SoA pre-decode of the records (trace/decoded.hh), or
-     * nullptr when none has been built. Invalidated by any mutating
-     * access.
+     * No-op: the core derives everything it needs from the records
+     * as it runs. Kept only because bench/suite still calls it.
      */
-    const DecodedTrace *decoded() const { return decoded_.get(); }
-
-    /**
-     * Build (and cache) the SoA pre-decode. NOT thread-safe on the
-     * first call for a given trace: when several simulation cells
-     * share one Trace across worker threads, the matrix runner
-     * pre-decodes in its serial-per-workload synthesis phase; after
-     * that, concurrent readers only ever see the built pointer.
-     */
-    const DecodedTrace &ensureDecoded() const;
+    void ensureDecoded() const {}
 
     /** Count of records of a given class. */
     std::size_t countClass(InstClass cls) const;
@@ -155,9 +125,6 @@ class Trace
 
   private:
     std::vector<TraceRecord> records_;
-    /** Cached SoA decode; shared so Trace copies stay cheap (a copy
-     *  that later mutates only drops its own pointer). */
-    mutable std::shared_ptr<const DecodedTrace> decoded_;
 };
 
 } // namespace cbws

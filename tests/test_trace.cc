@@ -293,5 +293,59 @@ TEST(TraceFile, RawCountBeyondFileIsCorrupt)
     std::remove(path.c_str());
 }
 
+TEST(TraceFile, OutOfRangeRegisterOrClassIsCorrupt)
+{
+    // One record per image, {class, src1, dest, loads}: the core's
+    // rename table has NumArchRegs entries, and InstClass ends at
+    // Nop (8). The last two cases are the in-range edges.
+    const std::uint8_t cases[][4] = {{0, InvalidReg, 200, 0},
+                                     {0, 64, InvalidReg, 0},
+                                     {9, 0, 0, 0},
+                                     {8, 63, 63, 1},
+                                     {0, InvalidReg, InvalidReg, 1}};
+    for (const auto &c : cases) {
+        // CBT2: count 1, then class, taken, PC delta +1, src1, src2,
+        // dest, size.
+        const char cbt2[] = {'C', 'B', 'T', '2', 1,
+                             static_cast<char>(c[0]), 0, 2,
+                             static_cast<char>(c[1]),
+                             static_cast<char>(InvalidReg),
+                             static_cast<char>(c[2]), 0};
+        // CBT1: the header, then the same record as a raw struct.
+        TraceRecord rec = TraceRecord::alu(1, c[2], c[1]);
+        rec.cls = static_cast<InstClass>(c[0]);
+        const struct
+        {
+            char magic[4] = {'C', 'B', 'T', '1'};
+            std::uint32_t recordSize = sizeof(TraceRecord);
+            std::uint64_t numRecords = 1;
+        } hdr;
+        const std::string cbt1 =
+            std::string(reinterpret_cast<const char *>(&hdr), sizeof(hdr)) +
+            std::string(reinterpret_cast<const char *>(&rec), sizeof(rec));
+
+        for (const std::string &bytes :
+             {std::string(cbt2, sizeof(cbt2)), cbt1}) {
+            SCOPED_TRACE(bytes.substr(0, 4) + " case " +
+                         std::to_string(&c - cases));
+            const std::string path = writeFile("cbws_trace_range.bin", bytes);
+            Trace t;
+            t.append(TraceRecord::alu(1, 1)); // must be replaced
+            Result<void> r = t.loadFrom(path);
+            std::remove(path.c_str());
+            if (!c[3]) {
+                EXPECT_EQ(r.code(), Errc::Corrupt);
+                EXPECT_TRUE(t.empty());
+                continue;
+            }
+            ASSERT_TRUE(r.ok());
+            ASSERT_EQ(t.size(), 1u);
+            EXPECT_EQ(t[0].cls, rec.cls);
+            EXPECT_EQ(t[0].src1, rec.src1);
+            EXPECT_EQ(t[0].dest, rec.dest);
+        }
+    }
+}
+
 } // anonymous namespace
 } // namespace cbws
