@@ -6,7 +6,9 @@
  * the two result sets are bit-identical. Machine-readable results go
  * to BENCH_sim_throughput.json for CI trend tracking, stamped with
  * build provenance; run with --profile to embed the host-side
- * per-phase breakdown explaining where the wall time went.
+ * per-phase breakdown explaining where the wall time went, and the
+ * process's peak resident memory next to the parallel leg's most
+ * traces resident at once.
  *
  * The serial leg always runs with jobs=1; the parallel leg uses
  * --jobs / CBWS_JOBS, falling back to the hardware thread count. When
@@ -18,6 +20,8 @@
 #include <cstdio>
 #include <cstring>
 #include <thread>
+
+#include <sys/resource.h>
 
 #include "base/json.hh"
 #include "base/profiler.hh"
@@ -212,9 +216,15 @@ main(int argc, char **argv)
     w.field("jobs", static_cast<std::uint64_t>(parallel_jobs));
     w.field("seconds", parallel_s);
     w.field("instructions_per_second", parallel_ips);
+    w.field("peak_live_traces",
+            static_cast<std::uint64_t>(parallel.peakLiveTraces));
     w.endObject();
     w.field("speedup", speedup);
     w.field("identical", identical);
+    struct rusage usage;
+    ::getrusage(RUSAGE_SELF, &usage);
+    w.field("peak_rss_mb",
+            static_cast<double>(usage.ru_maxrss) / 1024.0); // KiB
     w.field("trace_cache",
             opts.traceCache ? opts.traceCache->directory() : "");
     if (prof::enabled()) {

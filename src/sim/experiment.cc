@@ -4,6 +4,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <strings.h>
 
 #include "base/debug.hh"
@@ -17,36 +18,6 @@
 
 namespace cbws
 {
-
-namespace
-{
-
-/**
- * Run @p count cells at @p jobs, tolerating pool-level failures: if
- * the parallel pass dies (e.g. an injected PoolJob fault), the cells
- * that never completed — tracked via @p done flags the body must set
- * — are retried serially so the matrix still finishes. The body is
- * deterministic per cell, so the fallback changes nothing but time.
- */
-template <typename Fn>
-void
-runCells(unsigned jobs, std::size_t count, std::vector<char> &done,
-         const char *what, Fn &&body)
-{
-    try {
-        parallelFor(jobs, count, body);
-        return;
-    } catch (const FaultInjectedError &e) {
-        warn("runMatrix: %s pool failed (%s); retrying remaining "
-             "cells serially",
-             what, e.what());
-    }
-    for (std::size_t i = 0; i < count; ++i)
-        if (!done[i])
-            body(i);
-}
-
-} // anonymous namespace
 
 namespace
 {
@@ -221,74 +192,45 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
                  options.checkpointPath.c_str());
     }
 
-    // The cells this run must simulate: its shard's share, minus the
-    // ones the checkpoint already holds. Only their rows need a trace.
+    // A row's trace lives from its first simulated cell to its last:
+    // the first synthesises it (or loads it from the trace cache)
+    // under the row's lock, the last frees it. parallelFor hands out
+    // cells in row-major order, so at most `jobs` traces are live.
+    // Cells of another shard or restored from the checkpoint never
+    // touch the trace, so a row without simulated cells is never
+    // synthesised.
     auto owned = [&](std::size_t i) {
         return i % shard.count == shard.index;
     };
-    std::vector<char> needs_trace(num_workloads, 0);
+    struct RowTrace
+    {
+        std::mutex lock;
+        bool ready = false; ///< trace synthesised or loaded
+        Trace trace;        ///< read-only once ready
+        std::atomic<std::size_t> pending{0}; ///< simulated cells left
+    };
+    std::vector<RowTrace> row_traces(num_workloads);
     std::size_t owned_cells = 0;
-    std::size_t traces_needed = 0;
     for (std::size_t i = 0; i < num_cells; ++i) {
         if (!owned(i))
             continue;
         ++owned_cells;
         const std::size_t w = i / num_kinds;
-        if (!needs_trace[w] &&
-            !checkpoint.find(workload_names[w], schemes[i % num_kinds])) {
-            needs_trace[w] = 1;
-            ++traces_needed;
-        }
+        if (!checkpoint.find(workload_names[w], schemes[i % num_kinds]))
+            ++row_traces[w].pending;
     }
+    std::atomic<std::size_t> live_traces{0};
+    std::atomic<std::size_t> peak_live_traces{0};
 
-    // Phase 1: synthesise (or load from the trace cache) every needed
-    // workload's trace, one cell per workload. Each trace is written
-    // exactly once and only read afterwards, so the simulation phase
-    // shares them without copies or locks.
-    std::vector<Trace> traces(num_workloads);
-    std::vector<char> trace_done(num_workloads, 0);
-    {
-        ProgressMeter meter("trace synthesis", traces_needed,
-                            progress);
-        runCells(jobs, num_workloads, trace_done, "trace synthesis",
-                 [&](std::size_t w) {
-            if (!needs_trace[w]) {
-                trace_done[w] = 1;
-                return;
-            }
-            if (matrixInterruptRequested())
-                return; // draining: skip, phase 2 is skipped too
-            Trace &trace = traces[w];
-            const TraceCache::Key key{workload_names[w], max_insts,
-                                      seed};
-            if (options.traceCache &&
-                options.traceCache->load(key, trace).ok()) {
-                trace_done[w] = 1;
-                meter.advance(true);
-                return;
-            }
-            {
-                PROF_SCOPE(prof::Phase::TraceSynthesis);
-                trace.reserve(max_insts + 512);
-                workloads[w]->generate(trace, params);
-            }
-            if (options.traceCache)
-                options.traceCache->store(key, trace);
-            trace_done[w] = 1;
-            meter.advance(false);
-        });
-    }
-
-    // Phase 2: the workloads x kinds cells, each an independent
-    // simulated system replaying a shared read-only trace into its
+    // The workloads x kinds cells, each an independent simulated
+    // system replaying its row's shared read-only trace into its
     // preassigned result slot. A quarter of the budget warms caches
     // and predictors (the paper fast-forwards past initialisation
     // instead).
     const std::uint64_t warmup = max_insts / 4;
     std::vector<char> cell_done(num_cells, 0);
     ProgressMeter meter("simulation", owned_cells, progress);
-    runCells(jobs, num_cells, cell_done, "simulation",
-             [&](std::size_t i) {
+    auto cell = [&](std::size_t i) {
         if (!owned(i)) {
             cell_done[i] = 1; // another shard's cell
             return;
@@ -310,16 +252,45 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
                 return;
             }
         }
+        RowTrace &row = row_traces[w];
+        {
+            std::lock_guard<std::mutex> hold(row.lock);
+            if (!row.ready) {
+                const TraceCache::Key key{workload_names[w], max_insts,
+                                          seed};
+                if (!options.traceCache ||
+                    !options.traceCache->load(key, row.trace).ok()) {
+                    {
+                        PROF_SCOPE(prof::Phase::TraceSynthesis);
+                        row.trace.reserve(max_insts + 512);
+                        workloads[w]->generate(row.trace, params);
+                    }
+                    if (options.traceCache)
+                        options.traceCache->store(key, row.trace);
+                }
+                row.ready = true;
+                const std::size_t live = ++live_traces;
+                std::size_t peak = peak_live_traces.load();
+                while (live > peak &&
+                       !peak_live_traces.compare_exchange_weak(peak,
+                                                               live))
+                    ;
+            }
+        }
         SystemConfig config = base_config;
         config.scheme = schemes[k];
         // Every core replays its own copy of the workload's trace;
         // above one core this is rate mode over the shared L2/DRAM.
         const std::vector<const Trace *> core_traces(
-            config.mem.numCores, &traces[w]);
+            config.mem.numCores, &row.trace);
         const std::vector<std::string> core_names(
             config.mem.numCores, matrix.rows[w].workload);
         SimResult res = simulateMulti(core_traces, core_names, config,
                                       max_insts, SimProbes(), warmup);
+        if (--row.pending == 0) {
+            row.trace = Trace();
+            --live_traces;
+        }
         res.workload = matrix.rows[w].workload;
         if (checkpoint.isOpen()) {
             Result<void> appended = checkpoint.append(res);
@@ -342,8 +313,23 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
         matrix.rows[w].byPrefetcher[k] = std::move(res);
         cell_done[i] = 1;
         meter.advance(false);
-    });
+    };
+    // If the parallel pass dies (e.g. an injected PoolJob fault), the
+    // cells that never completed are retried serially so the matrix
+    // still finishes. Each cell is deterministic, so the fallback
+    // changes nothing but time.
+    try {
+        parallelFor(jobs, num_cells, cell);
+    } catch (const FaultInjectedError &e) {
+        warn("runMatrix: simulation pool failed (%s); retrying "
+             "remaining cells serially",
+             e.what());
+        for (std::size_t i = 0; i < num_cells; ++i)
+            if (!cell_done[i])
+                cell(i);
+    }
     meter.finish();
+    matrix.peakLiveTraces = peak_live_traces.load();
     // Seal: every appended cell is already flushed line-by-line, the
     // final fsync makes the tail durable against power loss too. This
     // is what guarantees an interrupted run or a finished shard never

@@ -9,7 +9,9 @@
  * read-only input trace — so runMatrix can fan the cells across a
  * thread pool. Results are bit-identical to a serial run for any job
  * count: every cell writes a preallocated slot, and nothing about a
- * simulation depends on which thread (or in what order) it ran.
+ * simulation depends on which thread (or in what order) it ran. A
+ * trace lives only while its row's cells run, so at most one trace
+ * per worker is resident, whatever the matrix size.
  */
 
 #ifndef CBWS_SIM_EXPERIMENT_HH
@@ -41,6 +43,11 @@ struct ExperimentMatrix
     /** Registry scheme names, in column order. */
     std::vector<std::string> schemes;
     std::vector<WorkloadRow> rows;
+
+    /** Most traces resident at once while runMatrix ran: each lives
+     *  from its row's first simulated cell to its last, so this never
+     *  exceeds the worker count (0 when no cell was simulated). */
+    std::size_t peakLiveTraces = 0;
 
     /** Column of @p scheme (case-insensitive); panics when absent. */
     std::size_t column(const std::string &scheme) const;
@@ -81,10 +88,11 @@ Result<MatrixShard> parseMatrixShard(const std::string &text);
 struct MatrixOptions
 {
     /**
-     * Worker threads for trace synthesis and the simulation cells.
-     * 0 (the default) resolves via the CBWS_JOBS environment
-     * variable, falling back to 1 (serial) when it is unset. Any
-     * value yields bit-identical results.
+     * Worker threads for the simulation cells; each row's first
+     * simulated cell also synthesises its trace. 0 (the default)
+     * resolves via the CBWS_JOBS environment variable, falling back
+     * to 1 (serial) when it is unset. Any value yields bit-identical
+     * results.
      */
     unsigned jobs = 0;
 
@@ -103,8 +111,8 @@ struct MatrixOptions
 
     /**
      * Emit a live progress line on stderr (cells done/total,
-     * cells/sec, ETA, cache/checkpoint restores) for each matrix
-     * phase. Never touches stdout, so reports stay byte-identical.
+     * cells/sec, ETA, checkpoint restores) while the cells run.
+     * Never touches stdout, so reports stay byte-identical.
      */
     bool progress = false;
 

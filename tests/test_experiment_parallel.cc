@@ -1,12 +1,15 @@
 /**
  * @file
  * Determinism of the parallel experiment runner: runMatrix must be
- * bit-identical for any job count, across every prefetcher kind, and
- * the O(1) result() lookup must agree with the row layout.
+ * bit-identical for any job count, across every prefetcher kind, keep
+ * at most one trace per worker resident, and the O(1) result() lookup
+ * must agree with the row layout.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <unistd.h>
 
 #include "sim/experiment.hh"
 #include "workloads/registry.hh"
@@ -91,6 +94,46 @@ TEST(ParallelMatrix, MoreJobsThanCellsIsStillIdentical)
     for (std::size_t k = 0; k < kinds.size(); ++k)
         EXPECT_TRUE(cellsIdentical(m1.rows[0].byPrefetcher[k],
                                    mw.rows[0].byPrefetcher[k]));
+}
+
+TEST(ParallelMatrix, LiveTracesNeverExceedJobs)
+{
+    // Eight rows of three cells: at four jobs two workers start some
+    // rows together, and only one of them may synthesise the trace.
+    std::vector<WorkloadPtr> ws;
+    for (const char *name :
+         {"histo-large", "lbm-long", "mri-q-large", "stencil-default",
+          "fft-simlarge", "nw", "radix-simlarge", "sgemm-medium"}) {
+        ws.push_back(findWorkload(name));
+        ASSERT_NE(ws.back(), nullptr) << name;
+    }
+    const std::vector<std::string> kinds = {"No-Prefetch", "Stride",
+                                            "SMS"};
+    SystemConfig cfg;
+    constexpr std::uint64_t insts = 4000;
+
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        char tmpl[] = "/tmp/cbws-live-traces-XXXXXX";
+        ASSERT_NE(::mkdtemp(tmpl), nullptr);
+        const std::string dir = tmpl;
+        TraceCache cache(dir);
+        MatrixOptions options;
+        options.jobs = jobs;
+        options.traceCache = &cache;
+        const ExperimentMatrix m =
+            runMatrix(ws, kinds, cfg, insts, 42, options);
+
+        EXPECT_GE(m.peakLiveTraces, 1u);
+        EXPECT_LE(m.peakLiveTraces, jobs);
+        // A fresh cache: every row looked its trace up exactly once,
+        // so every row was synthesised exactly once.
+        EXPECT_EQ(cache.misses(), ws.size());
+        EXPECT_EQ(cache.hits(), 0u);
+
+        const std::string cmd = "rm -rf '" + dir + "'";
+        EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+    }
 }
 
 TEST(ParallelMatrix, ResultLookupAgreesWithRowLayout)
