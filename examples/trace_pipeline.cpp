@@ -1,11 +1,11 @@
 /**
  * @file
- * End-to-end trace pipeline: synthesise -> save (raw + compressed) ->
- * reload -> auto-annotate -> simulate -> dump stats.
+ * End-to-end trace pipeline: synthesise -> save (CBT2) -> reload ->
+ * auto-annotate -> simulate -> dump stats.
  *
  * Demonstrates the persistence and inspection surface of the API:
- * Trace::saveTo / saveCompressed / loadFrom, LoopAnnotator, and the
- * gem5-style statistics dump.
+ * Trace::saveTo / loadFrom, LoopAnnotator, and the gem5-style
+ * statistics dump.
  */
 
 #include <cstdio>
@@ -47,16 +47,14 @@ main()
     std::printf("synthesised %zu records from %s\n", trace.size(),
                 workload->name().c_str());
 
-    // 2. Persist in both formats and compare sizes.
-    const std::string raw = "/tmp/cbws_example_raw.cbt";
+    // 2. Persist and compare the file with the in-memory records.
     const std::string compressed = "/tmp/cbws_example_comp.cbt";
-    trace.saveTo(raw);
-    trace.saveCompressed(compressed);
-    std::printf("raw (CBT1): %ld bytes; compressed (CBT2): %ld bytes "
+    trace.saveTo(compressed);
+    const std::size_t in_memory = trace.size() * sizeof(TraceRecord);
+    std::printf("in memory: %zu bytes; saved (CBT2): %ld bytes "
                 "(%.1fx smaller)\n",
-                fileSize(raw), fileSize(compressed),
-                static_cast<double>(fileSize(raw)) /
-                    fileSize(compressed));
+                in_memory, fileSize(compressed),
+                static_cast<double>(in_memory) / fileSize(compressed));
 
     // 3. Reload the compressed trace; verify integrity.
     Trace reloaded;
@@ -87,7 +85,6 @@ main()
     result.workload = workload->name() + " (reannotated)";
     dumpStats(std::cout, result);
 
-    std::remove(raw.c_str());
     std::remove(compressed.c_str());
     return 0;
 }

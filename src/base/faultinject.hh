@@ -4,12 +4,12 @@
  *
  * Robustness code is only as good as its failure paths, and failure
  * paths are exactly the code that never runs. This harness plants
- * named fault *sites* at the simulator's I/O and concurrency seams —
- * trace-cache reads/writes, thread-pool jobs, snapshot and checkpoint
- * writes — and fires manufactured failures at them on a deterministic
- * schedule, so every degradation path (fall back to re-synthesis,
- * drop to serial, warn-and-continue) can be exercised in tests and CI
- * with a fixed seed.
+ * named fault *sites* at the simulator's I/O seams — trace-cache
+ * reads/writes, snapshot and checkpoint writes, the matrix runner's
+ * per-cell kill — and fires manufactured failures at them on a
+ * deterministic schedule, so every degradation path (fall back to
+ * re-synthesis, warn-and-continue, resume after SIGKILL) can be
+ * exercised in tests and CI with a fixed seed.
  *
  * Determinism: each site keeps an atomic hit counter, and whether hit
  * number n fires is a pure function of (seed, site, n). Under a
@@ -32,7 +32,6 @@
 #include <atomic>
 #include <cstdint>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,7 +46,6 @@ enum class FaultSite : unsigned
     TraceCacheLoad,    ///< I/O error reading a trace-cache file
     TraceCacheStore,   ///< failure writing a trace-cache file
     TraceCacheCorrupt, ///< corrupt a trace-cache file after publish
-    PoolJob,           ///< a thread-pool job throws
     SnapshotWrite,     ///< failure appending a stats snapshot record
     CheckpointAppend,  ///< failure appending a checkpoint record
     CellKill,          ///< runMatrix SIGKILLs itself after a cell
@@ -59,16 +57,6 @@ constexpr unsigned NumFaultSites =
 
 /** Stable kebab-case site name (CBWS_FAULT syntax, log lines). */
 const char *toString(FaultSite site);
-
-/** Thrown by fault-injected thread-pool jobs. */
-class FaultInjectedError : public std::runtime_error
-{
-  public:
-    explicit FaultInjectedError(const std::string &what)
-        : std::runtime_error(what)
-    {
-    }
-};
 
 class FaultInjector
 {

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 
-#include "base/faultinject.hh"
-
 namespace cbws
 {
 
@@ -53,9 +51,6 @@ void
 ThreadPool::runTask(std::function<void()> &task)
 {
     try {
-        if (FaultInjector::instance().shouldFire(FaultSite::PoolJob))
-            throw FaultInjectedError("injected thread-pool job "
-                                     "failure");
         task();
     } catch (...) {
         std::unique_lock<std::mutex> lock(mutex_);

@@ -7,7 +7,7 @@ namespace cbws
 {
 
 AmpmPrefetcher::AmpmPrefetcher(const AmpmParams &params)
-    : params_(params)
+    : params_(params), maps_(params.mapEntries, "AMPM map-entries")
 {
     fatal_if(params_.zoneBytes < LineBytes ||
              !isPowerOf2(params_.zoneBytes),
@@ -28,22 +28,11 @@ AmpmPrefetcher::observeAccess(const PrefetchContext &ctx,
         (ctx.addr % params_.zoneBytes) >> LineShift);
 
     // Find or allocate the zone's access map.
-    auto it = maps_.find(zone);
-    if (it == maps_.end()) {
-        if (maps_.size() >= params_.mapEntries) {
-            maps_.erase(lru_.back());
-            lru_.pop_back();
-        }
-        lru_.push_front(zone);
-        ZoneMap map;
-        map.accessed.assign(linesPerZone_, false);
-        map.lruIt = lru_.begin();
-        it = maps_.emplace(zone, std::move(map)).first;
-    } else {
-        lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-    }
-    ZoneMap &map = it->second;
-    map.accessed[static_cast<std::size_t>(offset)] = true;
+    ZoneMap *found = maps_.find(zone);
+    if (!found)
+        found = &maps_.insert(zone, ZoneMap(linesPerZone_, false));
+    ZoneMap &map = *found;
+    map[static_cast<std::size_t>(offset)] = true;
 
     // Pattern match: stride k is hot when (l-k) and (l-2k) were both
     // accessed; prefetch (l+k). Small |k| first (spatial locality).
@@ -62,9 +51,9 @@ AmpmPrefetcher::observeAccess(const PrefetchContext &ctx,
                 target >= static_cast<int>(linesPerZone_)) {
                 continue;
             }
-            if (!map.accessed[static_cast<std::size_t>(b1)] ||
-                !map.accessed[static_cast<std::size_t>(b2)] ||
-                map.accessed[static_cast<std::size_t>(target)]) {
+            if (!map[static_cast<std::size_t>(b1)] ||
+                !map[static_cast<std::size_t>(b2)] ||
+                map[static_cast<std::size_t>(target)]) {
                 continue;
             }
             const LineAddr line = lineOf(

@@ -18,10 +18,9 @@
 #define CBWS_PREFETCH_AMPM_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
+#include "prefetch/lru_table.hh"
 #include "prefetch/paramschema.hh"
 #include "prefetch/prefetcher.hh"
 
@@ -59,16 +58,12 @@ class AmpmPrefetcher : public Prefetcher
     unsigned linesPerZone() const { return linesPerZone_; }
 
   private:
-    struct ZoneMap
-    {
-        std::vector<bool> accessed;
-        std::list<Addr>::iterator lruIt;
-    };
+    /** Per-line access bits of one zone. */
+    using ZoneMap = std::vector<bool>;
 
     AmpmParams params_;
     unsigned linesPerZone_;
-    std::unordered_map<Addr, ZoneMap> maps_;
-    std::list<Addr> lru_; ///< front = most recent zone
+    LruTable<Addr, ZoneMap> maps_; ///< keyed by zone
 };
 
 } // namespace cbws

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "base/logging.hh"
 #include "prefetch/registry.hh"
 
 namespace cbws
@@ -10,6 +11,8 @@ namespace cbws
 GhbPrefetcher::GhbPrefetcher(Mode mode, const GhbParams &params)
     : mode_(mode), params_(params), buffer_(params.bufferEntries)
 {
+    fatal_if(params_.bufferEntries == 0,
+             "GHB buffer-entries must be at least 1");
 }
 
 const GhbPrefetcher::Entry *

@@ -1,5 +1,6 @@
 #include "prefetch/multistride.hh"
 
+#include "base/logging.hh"
 #include "base/metrics.hh"
 #include "prefetch/registry.hh"
 
@@ -8,27 +9,11 @@ namespace cbws
 
 MultistridePrefetcher::MultistridePrefetcher(
     const MultistrideParams &params)
-    : params_(params)
+    : params_(params),
+      table_(params.tableEntries, "Multistride table-entries")
 {
-}
-
-MultistridePrefetcher::Entry &
-MultistridePrefetcher::lookup(Addr pc)
-{
-    auto it = table_.find(pc);
-    if (it != table_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-        return it->second;
-    }
-    if (table_.size() >= params_.tableEntries) {
-        table_.erase(lru_.back());
-        lru_.pop_back();
-    }
-    lru_.push_front(pc);
-    Entry &e = table_[pc];
-    e.deltas.reserve(params_.historyLength);
-    e.lruIt = lru_.begin();
-    return e;
+    fatal_if(params_.historyLength == 0,
+             "Multistride history-length must be at least 1");
 }
 
 unsigned
@@ -57,7 +42,12 @@ MultistridePrefetcher::observeAccess(const PrefetchContext &ctx,
         return;
     ++trainedAccesses_;
 
-    Entry &e = lookup(ctx.pc);
+    Entry *found = table_.find(ctx.pc);
+    if (!found) {
+        found = &table_.insert(ctx.pc, Entry());
+        found->deltas.reserve(params_.historyLength);
+    }
+    Entry &e = *found;
     if (!e.primed) {
         e.primed = true;
         e.lastLine = ctx.line;

@@ -19,10 +19,9 @@
 #define CBWS_PREFETCH_MULTISTRIDE_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
+#include "prefetch/lru_table.hh"
 #include "prefetch/paramschema.hh"
 #include "prefetch/prefetcher.hh"
 
@@ -71,18 +70,14 @@ class MultistridePrefetcher : public Prefetcher
         std::vector<std::int64_t> deltas; ///< oldest first
         unsigned period = 0;     ///< detected cycle length (0 = none)
         unsigned confidence = 0;
-        std::list<Addr>::iterator lruIt;
     };
 
     /** Shortest p <= maxPeriod with deltas[i] == deltas[i-p]. */
     unsigned detectPeriod(const std::vector<std::int64_t> &deltas)
         const;
 
-    Entry &lookup(Addr pc);
-
     MultistrideParams params_;
-    std::unordered_map<Addr, Entry> table_;
-    std::list<Addr> lru_; ///< front = most recent
+    LruTable<Addr, Entry> table_; ///< keyed by PC
 
     std::uint64_t trainedAccesses_ = 0;
     std::uint64_t periodsDetected_ = 0;

@@ -1,5 +1,6 @@
 #include "prefetch/pangloss.hh"
 
+#include "base/logging.hh"
 #include "base/metrics.hh"
 #include "prefetch/registry.hh"
 
@@ -7,8 +8,10 @@ namespace cbws
 {
 
 PanglossPrefetcher::PanglossPrefetcher(const PanglossParams &params)
-    : params_(params)
+    : params_(params),
+      pages_(params.pageEntries, "Pangloss page-entries")
 {
+    fatal_if(params_.assoc == 0, "Pangloss assoc must be at least 1");
     transitions_.resize(2 * linesPerPage() - 1);
 }
 
@@ -27,24 +30,6 @@ PanglossPrefetcher::setIndex(std::int32_t delta) const
     // valid slot regardless.
     return static_cast<std::size_t>(
         delta + static_cast<std::int32_t>(linesPerPage()) - 1);
-}
-
-PanglossPrefetcher::PageEntry &
-PanglossPrefetcher::lookupPage(std::uint64_t page)
-{
-    auto it = pages_.find(page);
-    if (it != pages_.end()) {
-        pageLru_.splice(pageLru_.begin(), pageLru_, it->second.lruIt);
-        return it->second;
-    }
-    if (pages_.size() >= params_.pageEntries) {
-        pages_.erase(pageLru_.back());
-        pageLru_.pop_back();
-    }
-    pageLru_.push_front(page);
-    PageEntry &e = pages_[page];
-    e.lruIt = pageLru_.begin();
-    return e;
 }
 
 void
@@ -112,7 +97,8 @@ PanglossPrefetcher::observeAccess(const PrefetchContext &ctx,
     const std::uint64_t page = ctx.line / lines;
     const unsigned offset = static_cast<unsigned>(ctx.line % lines);
 
-    PageEntry &entry = lookupPage(page);
+    PageEntry *found = pages_.find(page);
+    PageEntry &entry = found ? *found : pages_.insert(page, PageEntry());
     const std::int32_t delta =
         static_cast<std::int32_t>(offset) -
         static_cast<std::int32_t>(entry.lastOffset);

@@ -22,10 +22,9 @@
 #define CBWS_PREFETCH_PANGLOSS_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
+#include "prefetch/lru_table.hh"
 #include "prefetch/paramschema.hh"
 #include "prefetch/prefetcher.hh"
 
@@ -74,7 +73,6 @@ class PanglossPrefetcher : public Prefetcher
         unsigned lastOffset = 0;  ///< line index within the page
         std::int32_t lastDelta = 0;
         bool haveDelta = false;   ///< lastDelta holds a transition src
-        std::list<std::uint64_t>::iterator lruIt;
     };
 
     /** One (next-delta, count) candidate of a transition set. */
@@ -87,14 +85,12 @@ class PanglossPrefetcher : public Prefetcher
     unsigned linesPerPage() const;
     /** Transition-set index of a (non-zero) in-page delta. */
     std::size_t setIndex(std::int32_t delta) const;
-    PageEntry &lookupPage(std::uint64_t page);
     void recordTransition(std::int32_t from, std::int32_t to);
     /** Most probable candidate clearing confidencePct, or nullptr. */
     const Candidate *bestNext(std::int32_t from) const;
 
     PanglossParams params_;
-    std::unordered_map<std::uint64_t, PageEntry> pages_;
-    std::list<std::uint64_t> pageLru_; ///< front = most recent
+    LruTable<std::uint64_t, PageEntry> pages_; ///< keyed by page
     /** Transition sets indexed by setIndex(from). */
     std::vector<std::vector<Candidate>> transitions_;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "base/logging.hh"
 #include "base/metrics.hh"
 #include "prefetch/registry.hh"
 
@@ -31,6 +32,8 @@ PythiaPrefetcher::PythiaPrefetcher(const PythiaParams &params)
       q_(params.qEntries ? params.qEntries : 1),
       lcgState_(params.seed)
 {
+    fatal_if(params_.eqEntries == 0,
+             "Pythia eq-entries must be at least 1");
     for (auto &row : q_)
         row.fill(0.0);
 }

@@ -10,7 +10,9 @@
 namespace cbws
 {
 
-SmsPrefetcher::SmsPrefetcher(const SmsParams &params) : params_(params)
+SmsPrefetcher::SmsPrefetcher(const SmsParams &params)
+    : params_(params), agt_(params.agtEntries, "SMS agt-entries"),
+      filter_(params.filterEntries, "SMS filter-entries")
 {
     fatal_if(params_.regionBytes < LineBytes ||
              !isPowerOf2(params_.regionBytes),
@@ -19,6 +21,10 @@ SmsPrefetcher::SmsPrefetcher(const SmsParams &params) : params_(params)
         static_cast<unsigned>(params_.regionBytes / LineBytes);
     fatal_if(linesPerRegion_ > 64,
              "SMS pattern is limited to 64 lines per region");
+    fatal_if(params_.phtAssoc == 0, "SMS pht-assoc must be at least 1");
+    fatal_if(params_.phtEntries < params_.phtAssoc,
+             "SMS pht-entries must be at least pht-assoc (%u)",
+             params_.phtAssoc);
     pht_.assign(params_.phtEntries, PhtEntry{});
 }
 
@@ -91,37 +97,26 @@ SmsPrefetcher::observeAccess(const PrefetchContext &ctx, PrefetchSink &sink)
     const std::uint64_t bit = 1ull << offset;
 
     // Already accumulating this region?
-    if (auto it = agt_.find(region); it != agt_.end()) {
-        it->second.pattern |= bit;
-        agtLru_.splice(agtLru_.begin(), agtLru_, it->second.lruIt);
+    if (Generation *gen = agt_.find(region)) {
+        gen->pattern |= bit;
         return;
     }
 
     // Second distinct access promotes the region out of the filter.
-    if (auto it = filter_.find(region); it != filter_.end()) {
-        if (it->second.triggerOffset == offset) {
-            filterLru_.splice(filterLru_.begin(), filterLru_,
-                              it->second.lruIt);
+    if (const FilterEntry *fe = filter_.find(region)) {
+        if (fe->triggerOffset == offset)
             return; // same line again: stays in the filter
-        }
         Generation gen;
-        gen.triggerPc = it->second.triggerPc;
-        gen.triggerOffset = it->second.triggerOffset;
-        gen.pattern = (1ull << it->second.triggerOffset) | bit;
-        filterLru_.erase(it->second.lruIt);
-        filter_.erase(it);
+        gen.triggerPc = fe->triggerPc;
+        gen.triggerOffset = fe->triggerOffset;
+        gen.pattern = (1ull << fe->triggerOffset) | bit;
+        filter_.erase(region);
 
-        if (agt_.size() >= params_.agtEntries) {
-            // Capacity eviction ends the oldest generation.
-            const Addr victim_region = agtLru_.back();
-            auto vit = agt_.find(victim_region);
-            endGeneration(vit->second);
-            agtLru_.pop_back();
-            agt_.erase(vit);
-        }
-        agtLru_.push_front(region);
-        gen.lruIt = agtLru_.begin();
-        agt_.emplace(region, gen);
+        // Capacity eviction ends the oldest generation.
+        agt_.insert(region, gen,
+                    [this](const Generation &victim) {
+                        endGeneration(victim);
+                    });
         return;
     }
 
@@ -145,18 +140,9 @@ SmsPrefetcher::observeAccess(const PrefetchContext &ctx, PrefetchSink &sink)
         }
     }
 
-    if (filter_.size() >= params_.filterEntries) {
-        // Single-access generations are discarded, which is the
-        // filter's purpose.
-        filter_.erase(filterLru_.back());
-        filterLru_.pop_back();
-    }
-    filterLru_.push_front(region);
-    FilterEntry fe;
-    fe.triggerPc = ctx.pc;
-    fe.triggerOffset = offset;
-    fe.lruIt = filterLru_.begin();
-    filter_.emplace(region, fe);
+    // A full filter discards its oldest single-access generation,
+    // which is the filter's purpose.
+    filter_.insert(region, FilterEntry{ctx.pc, offset});
 }
 
 std::uint64_t

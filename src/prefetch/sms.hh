@@ -25,10 +25,9 @@
 #define CBWS_PREFETCH_SMS_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
+#include "prefetch/lru_table.hh"
 #include "prefetch/paramschema.hh"
 #include "prefetch/prefetcher.hh"
 
@@ -83,7 +82,6 @@ class SmsPrefetcher : public Prefetcher
         Addr triggerPc = 0;
         unsigned triggerOffset = 0;
         std::uint64_t pattern = 0;
-        std::list<Addr>::iterator lruIt;
     };
 
     Addr regionOf(Addr addr) const { return addr / params_.regionBytes; }
@@ -109,18 +107,15 @@ class SmsPrefetcher : public Prefetcher
     unsigned linesPerRegion_;
 
     /** Active generation table: region -> accumulating pattern. */
-    std::unordered_map<Addr, Generation> agt_;
-    std::list<Addr> agtLru_; ///< front = most recent region
+    LruTable<Addr, Generation> agt_;
 
     /** Filter table: regions touched once (region -> first access). */
     struct FilterEntry
     {
         Addr triggerPc = 0;
         unsigned triggerOffset = 0;
-        std::list<Addr>::iterator lruIt;
     };
-    std::unordered_map<Addr, FilterEntry> filter_;
-    std::list<Addr> filterLru_;
+    LruTable<Addr, FilterEntry> filter_;
 
     /** Pattern history table, set-associative with LRU. */
     struct PhtEntry

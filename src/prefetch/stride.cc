@@ -6,7 +6,8 @@ namespace cbws
 {
 
 StridePrefetcher::StridePrefetcher(const StrideParams &params)
-    : params_(params)
+    : params_(params),
+      table_(params.tableEntries, "Stride table-entries")
 {
 }
 
@@ -20,24 +21,16 @@ StridePrefetcher::observeAccess(const PrefetchContext &ctx,
     if (!ctx.l2Miss && !params_.trainOnHits)
         return;
 
-    auto it = table_.find(ctx.pc);
-    if (it == table_.end()) {
-        if (table_.size() >= params_.tableEntries) {
-            // Evict the LRU stream.
-            table_.erase(lru_.back());
-            lru_.pop_back();
-        }
-        lru_.push_front(ctx.pc);
+    Entry *found = table_.find(ctx.pc);
+    if (!found) {
+        // A new stream; a full table evicts its LRU stream.
         Entry e;
         e.lastLine = ctx.line;
-        e.lruIt = lru_.begin();
-        table_.emplace(ctx.pc, e);
+        table_.insert(ctx.pc, e);
         return;
     }
 
-    Entry &e = it->second;
-    lru_.splice(lru_.begin(), lru_, e.lruIt);
-
+    Entry &e = *found;
     const std::int64_t delta =
         static_cast<std::int64_t>(ctx.line) -
         static_cast<std::int64_t>(e.lastLine);

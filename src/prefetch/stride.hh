@@ -9,10 +9,8 @@
 #define CBWS_PREFETCH_STRIDE_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <vector>
 
+#include "prefetch/lru_table.hh"
 #include "prefetch/paramschema.hh"
 #include "prefetch/prefetcher.hh"
 
@@ -54,12 +52,10 @@ class StridePrefetcher : public Prefetcher
         LineAddr lastLine = 0;
         std::int64_t stride = 0;
         unsigned confidence = 0;
-        std::list<Addr>::iterator lruIt;
     };
 
     StrideParams params_;
-    std::unordered_map<Addr, Entry> table_;
-    std::list<Addr> lru_; ///< front = most recent
+    LruTable<Addr, Entry> table_; ///< keyed by PC
 };
 
 } // namespace cbws

@@ -228,13 +228,10 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
     // and predictors (the paper fast-forwards past initialisation
     // instead).
     const std::uint64_t warmup = max_insts / 4;
-    std::vector<char> cell_done(num_cells, 0);
     ProgressMeter meter("simulation", owned_cells, progress);
     auto cell = [&](std::size_t i) {
-        if (!owned(i)) {
-            cell_done[i] = 1; // another shard's cell
-            return;
-        }
+        if (!owned(i))
+            return; // another shard's cell
         // Graceful interrupt: launch nothing new; in-flight cells
         // finish (and checkpoint) normally, then the drain below
         // seals the file.
@@ -247,7 +244,6 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
                 matrix.rows[w].workload, schemes[k]);
             if (restored) {
                 matrix.rows[w].byPrefetcher[k] = *restored;
-                cell_done[i] = 1;
                 meter.advance(true);
                 return;
             }
@@ -311,23 +307,9 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
         }
         meter.addInstructions(res.core.instructions);
         matrix.rows[w].byPrefetcher[k] = std::move(res);
-        cell_done[i] = 1;
         meter.advance(false);
     };
-    // If the parallel pass dies (e.g. an injected PoolJob fault), the
-    // cells that never completed are retried serially so the matrix
-    // still finishes. Each cell is deterministic, so the fallback
-    // changes nothing but time.
-    try {
-        parallelFor(jobs, num_cells, cell);
-    } catch (const FaultInjectedError &e) {
-        warn("runMatrix: simulation pool failed (%s); retrying "
-             "remaining cells serially",
-             e.what());
-        for (std::size_t i = 0; i < num_cells; ++i)
-            if (!cell_done[i])
-                cell(i);
-    }
+    parallelFor(jobs, num_cells, cell);
     meter.finish();
     matrix.peakLiveTraces = peak_live_traces.load();
     // Seal: every appended cell is already flushed line-by-line, the

@@ -60,8 +60,8 @@ isBlockMarker(InstClass cls)
  * hold, cheap to stream from disk, and light on memory bandwidth in
  * the replay loop. The static_asserts below pin the layout: a field
  * added or reordered carelessly fails the build instead of silently
- * bloating every trace and invalidating the CBT1/trace-cache on-disk
- * formats (which write raw records / record-size tags).
+ * bloating every trace and invalidating the trace cache's on-disk
+ * entries (which carry a record-size tag).
  */
 struct TraceRecord
 {

@@ -1,6 +1,5 @@
 #include "trace/trace.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -10,10 +9,7 @@ namespace cbws
 {
 
 /*
- * Trace file formats (docs/FORMATS.md points here).
- *
- * CBT1: the TraceFileHeader below ("CBT1", sizeof(TraceRecord), the
- * record count), then the records as raw host-layout structs.
+ * The trace file format (docs/FORMATS.md points here).
  *
  * CBT2: "CBT2", then the body tracecodec::encodeBody writes: a varint
  * record count, then per record the class byte, the taken byte
@@ -28,24 +24,15 @@ namespace cbws
  * hold at MinEncodedRecordBytes each, or a body that ends mid-record
  * is corrupt. Bytes after the last record are ignored.
  *
- * In both formats a record whose class lies past InstClass::Nop, or
- * whose src1/src2/dest byte is neither below NumArchRegs nor
- * InvalidReg, makes the file corrupt.
+ * A record whose class lies past InstClass::Nop, or whose
+ * src1/src2/dest byte is neither below NumArchRegs nor InvalidReg,
+ * makes the file corrupt.
  */
 
 namespace
 {
 
-/** On-disk header for the CBT1 trace format. */
-struct TraceFileHeader
-{
-    char magic[4];           // "CBT1"
-    std::uint32_t recordSize;
-    std::uint64_t numRecords;
-};
-
-constexpr char TraceMagic[4] = {'C', 'B', 'T', '1'};
-constexpr char TraceMagic2[4] = {'C', 'B', 'T', '2'};
+constexpr char TraceMagic[4] = {'C', 'B', 'T', '2'};
 
 /** Smallest encoded CBT2 record: class, taken, a one-byte PC delta
  *  varint and the four register/size bytes. */
@@ -136,28 +123,6 @@ Trace::validate() const
     // A trailing open block is legal (budget may cut generation
     // mid-iteration).
     return std::string();
-}
-
-Result<void>
-Trace::saveTo(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return Error(Errc::IoError,
-                     path + ": cannot open for writing");
-    TraceFileHeader hdr;
-    std::memcpy(hdr.magic, TraceMagic, sizeof(hdr.magic));
-    hdr.recordSize = sizeof(TraceRecord);
-    hdr.numRecords = records_.size();
-    bool ok = std::fwrite(&hdr, sizeof(hdr), 1, f) == 1;
-    if (ok && !records_.empty()) {
-        ok = std::fwrite(records_.data(), sizeof(TraceRecord),
-                         records_.size(), f) == records_.size();
-    }
-    ok = std::fclose(f) == 0 && ok;
-    if (!ok)
-        return Error(Errc::IoError, path + ": short write");
-    return Result<void>();
 }
 
 namespace tracecodec
@@ -331,9 +296,9 @@ readAll(std::FILE *f, std::string &bytes)
 } // namespace tracecodec
 
 Result<void>
-Trace::saveCompressed(const std::string &path) const
+Trace::saveTo(const std::string &path) const
 {
-    std::string bytes(TraceMagic2, sizeof(TraceMagic2));
+    std::string bytes(TraceMagic, sizeof(TraceMagic));
     tracecodec::encodeBody(records_, bytes);
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
@@ -359,32 +324,10 @@ Trace::loadFrom(const std::string &path)
     std::fclose(f);
     const auto *p = reinterpret_cast<const unsigned char *>(bytes.data());
     const std::size_t n = bytes.size();
-    TraceFileHeader hdr;
-    ok = ok && n >= sizeof(hdr.magic);
-    if (ok && std::memcmp(p, TraceMagic2, sizeof(TraceMagic2)) == 0) {
-        ok = tracecodec::decodeBody(p + sizeof(TraceMagic2),
-                                    n - sizeof(TraceMagic2), records_);
-    } else if (ok && std::memcmp(p, TraceMagic, sizeof(TraceMagic)) == 0) {
-        // CBT1: raw records after the fixed header.
-        ok = n >= sizeof(hdr);
-        if (ok) {
-            std::memcpy(&hdr, p, sizeof(hdr));
-            ok = hdr.recordSize == sizeof(TraceRecord) &&
-                 hdr.numRecords <=
-                     (n - sizeof(hdr)) / sizeof(TraceRecord);
-        }
-        if (ok) {
-            records_.resize(hdr.numRecords);
-            if (hdr.numRecords > 0) {
-                std::memcpy(records_.data(), p + sizeof(hdr),
-                            records_.size() * sizeof(TraceRecord));
-            }
-            ok = std::all_of(records_.begin(), records_.end(),
-                             validRecord);
-        }
-    } else {
-        ok = false;
-    }
+    ok = ok && n >= sizeof(TraceMagic) &&
+         std::memcmp(p, TraceMagic, sizeof(TraceMagic)) == 0 &&
+         tracecodec::decodeBody(p + sizeof(TraceMagic),
+                                n - sizeof(TraceMagic), records_);
     if (!ok) {
         records_.clear();
         return Error(Errc::Corrupt,

@@ -1,7 +1,7 @@
 /**
  * @file
- * In-memory instruction trace container plus a simple binary on-disk
- * format for saving and replaying traces.
+ * In-memory instruction trace container plus the CBT2 on-disk format
+ * for saving and replaying traces.
  */
 
 #ifndef CBWS_TRACE_TRACE_HH
@@ -20,7 +20,7 @@ namespace cbws
 
 /**
  * The CBT2 record codec (per-field delta + varint encoding) and its
- * varints, shared by Trace::saveCompressed/loadFrom and the on-disk
+ * varints, shared by Trace::saveTo/loadFrom and the on-disk
  * trace cache. It works on memory: callers read or write each file
  * with one fread/fwrite and own the surrounding magic/header bytes.
  *
@@ -103,25 +103,18 @@ class Trace
     std::string validate() const;
 
     /**
-     * Serialise to the CBT1 binary format (raw records). IoError on
-     * open or short-write failure.
+     * Serialise to the CBT2 format: per-field delta + varint
+     * encoding, a fraction of the in-memory records' 24 bytes each.
+     * IoError on open or short-write failure.
      */
     Result<void> saveTo(const std::string &path) const;
 
     /**
-     * Load a trace previously written by saveTo() or
-     * saveCompressed() (the magic selects the decoder). IoError when
-     * the file cannot be opened, Corrupt on a bad magic, version or
-     * truncated body; the trace is left empty on failure.
+     * Load a trace previously written by saveTo(). IoError when the
+     * file cannot be opened, Corrupt on a bad magic or a malformed
+     * or truncated body; the trace is left empty on failure.
      */
     Result<void> loadFrom(const std::string &path);
-
-    /**
-     * Serialise to the CBT2 compact format: per-field delta +
-     * varint encoding, typically 3-4x smaller than CBT1. Loadable
-     * via loadFrom().
-     */
-    Result<void> saveCompressed(const std::string &path) const;
 
   private:
     std::vector<TraceRecord> records_;

@@ -542,19 +542,6 @@ TEST_F(CheckpointResumeTest, CompletedCheckpointSkipsAllSimulation)
     EXPECT_EQ(readLines(), lines) << "no rewrites on a no-op resume";
 }
 
-TEST_F(CheckpointResumeTest, PoolFaultFallsBackToSerialAndMatches)
-{
-    const ExperimentMatrix reference = run(1);
-
-    // One injected job failure in the parallel phase: runMatrix
-    // must catch it, finish the missing cells serially, and still
-    // produce the reference matrix.
-    FaultInjector::instance().armAt(FaultSite::PoolJob, {2});
-    const ExperimentMatrix faulted = run(4);
-    FaultInjector::instance().reset();
-    EXPECT_TRUE(matricesIdentical(reference, faulted));
-}
-
 /** A 2x2 matrix split into shard checkpoints under the temp dir. */
 class ShardMergeTest : public CheckpointFileTest
 {

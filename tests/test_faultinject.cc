@@ -44,8 +44,8 @@ TEST_F(FaultInjectTest, DisarmedSiteNeverFires)
     auto &fi = FaultInjector::instance();
     EXPECT_FALSE(fi.anyArmed());
     for (int i = 0; i < 100; ++i)
-        EXPECT_FALSE(fi.shouldFire(FaultSite::PoolJob));
-    EXPECT_EQ(fi.fired(FaultSite::PoolJob), 0u);
+        EXPECT_FALSE(fi.shouldFire(FaultSite::SnapshotWrite));
+    EXPECT_EQ(fi.fired(FaultSite::SnapshotWrite), 0u);
 }
 
 TEST_F(FaultInjectTest, ArmAtFiresExactlyOnTheListedHits)
@@ -98,15 +98,16 @@ TEST_F(FaultInjectTest, RateOneFiresAlwaysRateZeroDisarms)
 
 TEST_F(FaultInjectTest, ConfigureFromEnvParsesRatesAndExactHits)
 {
-    ::setenv("CBWS_FAULT", "pool-job@2,trace-cache-load:0.25", 1);
+    ::setenv("CBWS_FAULT", "checkpoint-append@2,trace-cache-load:0.25",
+             1);
     ::setenv("CBWS_FAULT_SEED", "9", 1);
     auto &fi = FaultInjector::instance();
     ASSERT_TRUE(fi.configureFromEnv());
     EXPECT_TRUE(fi.anyArmed());
 
-    EXPECT_FALSE(fi.shouldFire(FaultSite::PoolJob)); // hit 1
-    EXPECT_TRUE(fi.shouldFire(FaultSite::PoolJob));  // hit 2
-    EXPECT_FALSE(fi.shouldFire(FaultSite::PoolJob)); // hit 3
+    EXPECT_FALSE(fi.shouldFire(FaultSite::CheckpointAppend)); // hit 1
+    EXPECT_TRUE(fi.shouldFire(FaultSite::CheckpointAppend));  // hit 2
+    EXPECT_FALSE(fi.shouldFire(FaultSite::CheckpointAppend)); // hit 3
 }
 
 TEST_F(FaultInjectTest, BareSiteNameMeansAlwaysFire)
@@ -134,10 +135,10 @@ TEST_F(FaultInjectTest, BadSpecsAreRejectedAndLeaveNothingArmed)
     auto &fi = FaultInjector::instance();
     const char *bad[] = {
         "no-such-site",           // unknown name
-        "pool-job@0",             // hit indices are 1-based
-        "pool-job@two",           // non-numeric hit
+        "cell-kill@0",            // hit indices are 1-based
+        "cell-kill@two",          // non-numeric hit
         "trace-cache-load:0.5x",  // trailing junk on the rate
-        "pool-job:1,nope:0.5",    // later item poisons the whole spec
+        "cell-kill:1,nope:0.5",   // later item poisons the whole spec
     };
     for (const char *spec : bad) {
         ::setenv("CBWS_FAULT", spec, 1);

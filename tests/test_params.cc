@@ -248,6 +248,51 @@ TEST(ParamApi, EverySchemeButTheBaselineHasParameters)
     }
 }
 
+TEST(ParamApiDeathTest, OutOfRangeSizesAreFatalAndNameTheKey)
+{
+    // Unchecked, each value would crash the simulator mid-run (a
+    // divide by zero, an erase from an empty container) or hang it
+    // (the CBWS tag fold). The scheme's constructor refuses it
+    // instead: exit 1, with the key in the message.
+    struct Case
+    {
+        const char *scheme;
+        const char *key;
+        const char *value;
+    };
+    const Case cases[] = {
+        // The LRU tables' capacities.
+        {"Stride", "table-entries", "0"},
+        {"Multistride", "table-entries", "0"},
+        {"AMPM", "map-entries", "0"},
+        {"Pangloss", "page-entries", "0"},
+        {"SMS", "agt-entries", "0"},
+        {"SMS", "filter-entries", "0"},
+        // The other sizes and widths.
+        {"CBWS", "table-entries", "0"},
+        {"CBWS", "tag-bits", "0"},
+        {"CBWS", "tag-bits", "64"},
+        {"GHB-G/DC", "buffer-entries", "0"},
+        {"GHB-PC/DC", "buffer-entries", "0"},
+        {"Multistride", "history-length", "0"},
+        {"Pangloss", "assoc", "0"},
+        {"Pythia", "eq-entries", "0"},
+        {"SMS", "pht-entries", "0"},
+        {"SMS", "pht-assoc", "0"},
+    };
+    for (const Case &c : cases) {
+        const std::string opt = std::string(c.key) + "=" + c.value;
+        ParamSet params;
+        ASSERT_TRUE(prefetcherRegistry().applyOptions(c.scheme, params,
+                                                      {opt}))
+            << c.scheme << " " << opt;
+        EXPECT_EXIT(
+            { (void)prefetcherRegistry().create(c.scheme, params); },
+            testing::ExitedWithCode(1), c.key)
+            << c.scheme << " " << opt;
+    }
+}
+
 TEST(ParamApi, PfOptsFlowThroughSystemConfig)
 {
     // The makePrefetcher path: config.pfOpts land on the built

@@ -214,10 +214,10 @@ TEST_F(TraceCacheTest, CorruptRecordCountIsAMissUntilRestored)
     const Trace original = makeTrace();
     ASSERT_TRUE(cache.store(key, original));
 
-    // The entry ends in the same body saveCompressed writes after its
-    // 4-byte magic, so the record count starts where that body does.
+    // The entry ends in the same body saveTo writes after its 4-byte
+    // magic, so the record count starts where that body does.
     const std::string cbt2 = dir_ + "/body.cbt";
-    ASSERT_TRUE(original.saveCompressed(cbt2));
+    ASSERT_TRUE(original.saveTo(cbt2));
     auto size_of = [](const std::string &p) {
         std::FILE *f = std::fopen(p.c_str(), "rb");
         std::fseek(f, 0, SEEK_END);
@@ -297,11 +297,11 @@ TEST_F(TraceCacheTest, WritersReproduceGoldenBytes)
         ASSERT_GT(trace.countClass(cls), 0u) << static_cast<int>(cls);
 
     const std::string cbt2 = dir_ + "/trace.cbt2";
-    ASSERT_TRUE(trace.saveCompressed(cbt2));
+    ASSERT_TRUE(trace.saveTo(cbt2));
     const std::string want2 = readBytes(goldenPath("trace_small.cbt2"));
     const std::string got2 = readBytes(cbt2);
     EXPECT_EQ(got2.size(), want2.size());
-    EXPECT_TRUE(got2 == want2) << "saveCompressed changed the CBT2 bytes";
+    EXPECT_TRUE(got2 == want2) << "saveTo changed the CBT2 bytes";
 
     TraceCache cache(dir_);
     ASSERT_TRUE(cache.store(GoldenKey, trace));
@@ -328,15 +328,15 @@ TEST_F(TraceCacheTest, ReadersRecoverGoldenRecords)
     EXPECT_TRUE(tracesEqual(from_cbtc, trace));
 }
 
-/** The seeded mutation test: the kernels whose CBT1, CBT2 and CBTC
- *  images it mutates, their budget and the mutants per image. */
+/** The seeded mutation test: the kernels whose CBT2 and CBTC images
+ *  it mutates, their budget and the mutants per image. */
 constexpr const char *MutantKernels[] = {"stencil-default",
                                          "fft-simlarge", "nw"};
 constexpr std::uint64_t MutantInsts = 1500;
 constexpr int MutantsPerImage = 400;
 
-/** The smallest encoded record (CBT2's 7 bytes; CBT1's is larger):
- *  no successful load may hold more records than this allows. */
+/** The smallest encoded record (CBT2's 7 bytes): no successful load
+ *  may hold more records than this allows. */
 constexpr std::size_t MinRecordBytes = 7;
 
 /** Head of an image where the magic, header and record count live. */
@@ -385,7 +385,7 @@ checkOutcome(const Result<void> &r, const Trace &trace,
 }
 
 /**
- * Seeded mutants of the CBT1, CBT2 and CBTC images of three kernels
+ * Seeded mutants of the CBT2 and CBTC images of three kernels
  * (bit flips, byte overwrites, truncations, insertions, biased toward
  * the headers and record counts): every load returns a trace whose
  * allocation the file size bounds, or Corrupt and an empty trace.
@@ -400,15 +400,13 @@ TEST_F(TraceCacheTest, SeededMutantsLoadOrAreCorrupt)
         const TraceCache::Key key{kernel, MutantInsts, 42};
         const Trace trace = generate(key);
 
-        const std::string cbt1 = dir_ + "/trace.cbt1";
         const std::string cbt2 = dir_ + "/trace.cbt2";
-        ASSERT_TRUE(trace.saveTo(cbt1));
-        ASSERT_TRUE(trace.saveCompressed(cbt2));
+        ASSERT_TRUE(trace.saveTo(cbt2));
         const TraceCache cache(dir_);
         ASSERT_TRUE(cache.store(key, trace));
         const std::string entry = cache.pathFor(key);
 
-        for (const std::string &path : {cbt1, cbt2, entry}) {
+        for (const std::string &path : {cbt2, entry}) {
             const std::string image = readBytes(path);
             for (int m = 0; m < MutantsPerImage; ++m) {
                 std::string bytes = image;
