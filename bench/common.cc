@@ -7,7 +7,6 @@
 #include "base/argparse.hh"
 #include "base/faultinject.hh"
 #include "base/profiler.hh"
-#include "base/threadpool.hh"
 #include "mem/dram/backend.hh"
 #include "workloads/registry.hh"
 
@@ -19,9 +18,9 @@ namespace bench
 namespace
 {
 
-/** Resolved by init(); defaulted from the environment otherwise. */
-unsigned g_jobs = 0; // 0 = let runMatrix resolve CBWS_JOBS
-TraceCache g_trace_cache = TraceCache::fromEnv();
+/** Resolved by init() from the command line. */
+unsigned g_jobs = 0;           // 0 = no --jobs: runMatrix runs serially
+TraceCache g_trace_cache;      // disabled unless --trace-cache
 std::string g_checkpoint;      // empty = checkpointing off
 MatrixShard g_shard;           // --shard; {0, 1} = the whole matrix
 std::vector<std::string> g_merge; // --merge shard checkpoints
@@ -68,12 +67,11 @@ init(int argc, char **argv, bool single_matrix)
                      "Figure-regenerating bench (CBWS reproduction)");
     parser.addOption("jobs",
                      "worker threads for the experiment matrix "
-                     "(default: CBWS_JOBS env, else 1; results are "
-                     "identical for any value)");
+                     "(default 1; results are identical for any "
+                     "value)");
     parser.addOption("trace-cache",
                      "directory for the on-disk trace cache "
-                     "(default: CBWS_TRACE_CACHE env; '0' or 'off' "
-                     "disables)");
+                     "(default: none; '0' or 'off' disables)");
     parser.addOption("checkpoint",
                      "crash-safe checkpoint file: finished matrix "
                      "cells are appended there and a restarted run "
@@ -96,14 +94,13 @@ init(int argc, char **argv, bool single_matrix)
                          "selection");
     parser.addFlag("profile",
                    "host-side self-profiler: phase/worker breakdown "
-                   "on stderr at exit + BENCH_profile.json (also "
-                   "honours CBWS_PROFILE=1)");
+                   "on stderr at exit + BENCH_profile.json");
     parser.addOption("profile-json",
                      "profile artifact destination (implies "
                      "--profile; default BENCH_profile.json)");
     parser.addFlag("progress",
-                   "live matrix progress line on stderr (also "
-                   "honours CBWS_PROGRESS=1); stdout is unchanged");
+                   "live matrix progress line on stderr; stdout is "
+                   "unchanged");
     if (!parser.parse(argc, argv))
         std::exit(1);
     if (parser.helpRequested())
@@ -188,7 +185,6 @@ init(int argc, char **argv, bool single_matrix)
         g_profile_json = parser.get("profile-json");
     if (parser.getFlag("profile") || parser.provided("profile-json"))
         prof::enable();
-    prof::enableFromEnv();
     if (prof::enabled())
         std::atexit(writeProfileAtExit);
 }

@@ -19,9 +19,9 @@ namespace bench
 /**
  * Parse the execution knobs every matrix bench shares:
  *
- *   --jobs=N          worker threads (default: CBWS_JOBS env, else 1)
- *   --trace-cache=DIR on-disk trace cache (default: CBWS_TRACE_CACHE
- *                     env; "0"/"off" disables)
+ *   --jobs=N          worker threads (default 1)
+ *   --trace-cache=DIR on-disk trace cache (default none; "0"/"off"
+ *                     disables)
  *   --checkpoint=FILE crash-safe checkpoint: finished cells are
  *                     appended; a restarted run resumes from them
  *   --shard=i/N       simulate only cells c with c % N == i into
@@ -34,10 +34,10 @@ namespace bench
  *                     (see `cbws-sim --scheme help` for the keys)
  *   --profile         host-side self-profiler: phase/worker breakdown
  *                     on stderr at exit plus a BENCH_profile.json
- *                     artifact (also honours CBWS_PROFILE=1)
+ *                     artifact
  *   --profile-json=F  profile artifact destination (implies --profile)
- *   --progress        live matrix progress line on stderr (also
- *                     honours CBWS_PROGRESS=1); stdout is unchanged
+ *   --progress        live matrix progress line on stderr; stdout
+ *                     is unchanged
  *   --help            print usage and exit
  *
  * init() also arms the deterministic fault-injection harness from the
@@ -51,7 +51,7 @@ namespace bench
  */
 void init(int argc, char **argv, bool single_matrix = true);
 
-/** The runMatrix options resolved by init() (or the env defaults). */
+/** The runMatrix options resolved by init() (or the defaults). */
 MatrixOptions matrixOptions();
 
 /** Table II system config with the --dram and --pf-opt selections

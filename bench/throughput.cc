@@ -11,7 +11,7 @@
  * traces resident at once.
  *
  * The serial leg always runs with jobs=1; the parallel leg uses
- * --jobs / CBWS_JOBS, falling back to the hardware thread count. When
+ * --jobs, falling back to the hardware thread count. When
  * a trace cache is configured it is primed before timing starts, so
  * neither leg pays synthesis costs the other does not.
  */
@@ -93,7 +93,7 @@ main(int argc, char **argv)
 
     MatrixOptions opts = bench::matrixOptions();
     const unsigned parallel_jobs =
-        opts.jobs ? opts.jobs : ThreadPool::jobsFromEnv(0);
+        opts.jobs ? opts.jobs : ThreadPool::hardwareJobs();
 
     const auto workloads = allWorkloads();
     const auto schemes = allSchemeNames();

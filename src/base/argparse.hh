@@ -2,7 +2,7 @@
  * @file
  * Small command-line argument parser for the tools: long options with
  * values (`--workload stencil-default`, `--insts=100000`), boolean
- * flags (`--csv`), positional arguments, and generated help text.
+ * flags (`--json`), positional arguments, and generated help text.
  */
 
 #ifndef CBWS_BASE_ARGPARSE_HH

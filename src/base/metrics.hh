@@ -4,10 +4,10 @@
  *
  * One source of truth for everything a run can report: components
  * register values under dotted paths ("core0.l1d.miss_rate") with a
- * kind and a description, and every output surface — the statsdump
- * text format, the report JSON `metrics` section, snapshot records,
- * Chrome-trace counter dumps — renders from the same registry instead
- * of each maintaining its own serializer.
+ * kind and a description. The statsdump text format, the report JSON
+ * `metrics` section and the Chrome-trace counter dumps render from
+ * this registry; the report's main body and the snapshot records
+ * keep their own field lists, whose byte order the goldens pin.
  *
  * Kinds:
  *  - Scalar:    a uint64 counter.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 
@@ -287,18 +285,6 @@ StageSampler::~StageSampler()
         s.adjust[p] += shift;
         s.adjust[loop] -= shift;
         s.entries[p] += intervals_[p] * period_;
-    }
-}
-
-void
-enableFromEnv()
-{
-    const char *env = std::getenv("CBWS_PROFILE");
-    if (!env)
-        return;
-    if (std::strcmp(env, "1") == 0 || std::strcmp(env, "true") == 0 ||
-        std::strcmp(env, "yes") == 0 || std::strcmp(env, "on") == 0) {
-        enable();
     }
 }
 

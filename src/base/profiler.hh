@@ -198,9 +198,6 @@ enabled()
  */
 void enable();
 
-/** Honour CBWS_PROFILE=1/true/yes (idempotent convenience). */
-void enableFromEnv();
-
 /**
  * Test-only: disable profiling and drop every slab's contents. Not
  * thread-safe — call only with no worker threads running.

@@ -1,8 +1,6 @@
 #include "base/progress.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -37,18 +35,6 @@ ProgressMeter::ProgressMeter(std::string label, std::size_t total,
 ProgressMeter::~ProgressMeter()
 {
     finish();
-}
-
-bool
-ProgressMeter::enabledFromEnv()
-{
-    const char *env = std::getenv("CBWS_PROGRESS");
-    if (!env)
-        return false;
-    return std::strcmp(env, "1") == 0 ||
-           std::strcmp(env, "true") == 0 ||
-           std::strcmp(env, "yes") == 0 ||
-           std::strcmp(env, "on") == 0;
 }
 
 void

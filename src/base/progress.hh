@@ -57,9 +57,6 @@ class ProgressMeter
     /** Force the summary line out (idempotent; ~ calls it). */
     void finish();
 
-    /** Honour CBWS_PROGRESS=1/true/yes/on. */
-    static bool enabledFromEnv();
-
   private:
     void render(bool final);
 

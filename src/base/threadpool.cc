@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 
 namespace cbws
 {
@@ -141,17 +140,6 @@ ThreadPool::hardwareJobs()
 {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
-}
-
-unsigned
-ThreadPool::jobsFromEnv(unsigned fallback)
-{
-    if (const char *env = std::getenv("CBWS_JOBS")) {
-        const unsigned long v = std::strtoul(env, nullptr, 10);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    return fallback ? fallback : hardwareJobs();
 }
 
 void

@@ -68,13 +68,6 @@ class ThreadPool
      */
     void wait();
 
-    /**
-     * Parallelism knob shared by every CLI surface: the CBWS_JOBS
-     * environment variable when set to a positive integer, otherwise
-     * @p fallback (0 = auto-detect the hardware thread count).
-     */
-    static unsigned jobsFromEnv(unsigned fallback = 1);
-
     /** Hardware thread count, at least 1. */
     static unsigned hardwareJobs();
 

@@ -6,29 +6,16 @@
 namespace cbws
 {
 
-namespace
-{
-
-/** True unless @p name is set to "0", "false" or "off". */
-bool
-envEnabled(const char *name)
-{
-    const char *value = std::getenv(name);
-    if (!value)
-        return true;
-    return std::strcmp(value, "0") != 0 &&
-           std::strcmp(value, "false") != 0 &&
-           std::strcmp(value, "off") != 0;
-}
-
-} // anonymous namespace
-
 Tuning &
 Tuning::get()
 {
     static Tuning tuning = [] {
         Tuning t;
-        t.skipAhead = envEnabled("CBWS_SKIP_AHEAD");
+        // On unless set to "0", "false" or "off".
+        const char *value = std::getenv("CBWS_SKIP_AHEAD");
+        t.skipAhead = !value || (std::strcmp(value, "0") != 0 &&
+                                 std::strcmp(value, "false") != 0 &&
+                                 std::strcmp(value, "off") != 0);
         return t;
     }();
     return tuning;

@@ -19,10 +19,10 @@ CbwsPrefetcher::CbwsPrefetcher(const CbwsParams &params)
     fatal_if(params_.numSteps == 0, "CBWS needs at least one step");
     fatal_if(params_.tableEntries == 0,
              "CBWS table-entries must be at least 1");
-    // tag() xor-folds the history in tag-bits chunks: 0 never ends
-    // the fold and 64 overflows its mask.
-    fatal_if(params_.tagBits == 0 || params_.tagBits > 63,
-             "CBWS tag-bits must be in 1..63, not %u", params_.tagBits);
+    // tag() xor-folds the history in tag-bits chunks (0 never ends
+    // the fold) into the table's 16-bit tags (the paper's width).
+    fatal_if(params_.tagBits == 0 || params_.tagBits > 16,
+             "CBWS tag-bits must be in 1..16, not %u", params_.tagBits);
     history_.reserve(params_.numSteps);
     for (unsigned k = 0; k < params_.numSteps; ++k) {
         history_.emplace_back(params_.historyDepth, params_.hashBits);

@@ -29,9 +29,11 @@ mix(std::uint64_t x)
 
 PythiaPrefetcher::PythiaPrefetcher(const PythiaParams &params)
     : params_(params),
-      q_(params.qEntries ? params.qEntries : 1),
+      q_(params.qEntries),
       lcgState_(params.seed)
 {
+    fatal_if(params_.qEntries == 0,
+             "Pythia q-entries must be at least 1");
     fatal_if(params_.eqEntries == 0,
              "Pythia eq-entries must be at least 1");
     for (auto &row : q_)

@@ -22,9 +22,13 @@ SmsPrefetcher::SmsPrefetcher(const SmsParams &params)
     fatal_if(linesPerRegion_ > 64,
              "SMS pattern is limited to 64 lines per region");
     fatal_if(params_.phtAssoc == 0, "SMS pht-assoc must be at least 1");
-    fatal_if(params_.phtEntries < params_.phtAssoc,
-             "SMS pht-entries must be at least pht-assoc (%u)",
-             params_.phtAssoc);
+    // The PHT is pht-entries / pht-assoc sets: a remainder would be
+    // counted as storage but never indexed.
+    fatal_if(params_.phtEntries == 0 ||
+                 params_.phtEntries % params_.phtAssoc != 0,
+             "SMS pht-entries must be a positive multiple of pht-assoc "
+             "(%u), not %u",
+             params_.phtAssoc, params_.phtEntries);
     pht_.assign(params_.phtEntries, PhtEntry{});
 }
 

@@ -109,8 +109,7 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
     ExperimentMatrix matrix;
     matrix.schemes = schemes;
 
-    unsigned jobs =
-        options.jobs ? options.jobs : ThreadPool::jobsFromEnv(1);
+    unsigned jobs = options.jobs;
     if (jobs > 1 && debug::state.anyEnabled) {
         // The trace-flag facility is global (gem5-style, one traced
         // run per process): parallel cells would interleave lines and
@@ -120,9 +119,6 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
              "forcing jobs=1 for coherent trace output");
         jobs = 1;
     }
-
-    const bool progress =
-        options.progress || ProgressMeter::enabledFromEnv();
 
     WorkloadParams params;
     params.maxInstructions = max_insts;
@@ -228,7 +224,7 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
     // and predictors (the paper fast-forwards past initialisation
     // instead).
     const std::uint64_t warmup = max_insts / 4;
-    ProgressMeter meter("simulation", owned_cells, progress);
+    ProgressMeter meter("simulation", owned_cells, options.progress);
     auto cell = [&](std::size_t i) {
         if (!owned(i))
             return; // another shard's cell

@@ -89,12 +89,10 @@ struct MatrixOptions
 {
     /**
      * Worker threads for the simulation cells; each row's first
-     * simulated cell also synthesises its trace. 0 (the default)
-     * resolves via the CBWS_JOBS environment variable, falling back
-     * to 1 (serial) when it is unset. Any value yields bit-identical
-     * results.
+     * simulated cell also synthesises its trace. 0 and 1 both run
+     * serially. Any value yields bit-identical results.
      */
-    unsigned jobs = 0;
+    unsigned jobs = 1;
 
     /** Optional on-disk trace cache consulted before synthesis. */
     TraceCache *traceCache = nullptr;

@@ -88,17 +88,6 @@ makeDirs(const std::string &path)
 
 TraceCache::TraceCache(std::string dir) : dir_(std::move(dir)) {}
 
-TraceCache
-TraceCache::fromEnv()
-{
-    const char *env = std::getenv("CBWS_TRACE_CACHE");
-    if (!env || !*env || std::strcmp(env, "0") == 0 ||
-        std::strcmp(env, "off") == 0) {
-        return TraceCache();
-    }
-    return TraceCache(env);
-}
-
 std::string
 TraceCache::pathFor(const Key &key) const
 {

@@ -16,9 +16,8 @@
  * — stale embedded key, wrong format version, truncation — is
  * treated as a miss and falls back to re-synthesis.
  *
- * The cache is an opt-in surface: construct with a directory, or use
- * fromEnv() which reads CBWS_TRACE_CACHE (unset, empty, "0" or "off"
- * disable caching entirely).
+ * The cache is an opt-in surface: construct it with a directory; a
+ * default-constructed cache is disabled.
  */
 
 #ifndef CBWS_TRACE_TRACECACHE_HH
@@ -50,9 +49,6 @@ class TraceCache
 
     /** Cache rooted at @p dir (created, with parents, on first use). */
     explicit TraceCache(std::string dir);
-
-    /** Cache configured by the CBWS_TRACE_CACHE environment variable. */
-    static TraceCache fromEnv();
 
     // The atomic counters delete the implicit copy operations;
     // copying a cache transfers a snapshot of them.

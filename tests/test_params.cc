@@ -271,13 +271,16 @@ TEST(ParamApiDeathTest, OutOfRangeSizesAreFatalAndNameTheKey)
         // The other sizes and widths.
         {"CBWS", "table-entries", "0"},
         {"CBWS", "tag-bits", "0"},
+        {"CBWS", "tag-bits", "17"},
         {"CBWS", "tag-bits", "64"},
         {"GHB-G/DC", "buffer-entries", "0"},
         {"GHB-PC/DC", "buffer-entries", "0"},
         {"Multistride", "history-length", "0"},
         {"Pangloss", "assoc", "0"},
+        {"Pythia", "q-entries", "0"},
         {"Pythia", "eq-entries", "0"},
         {"SMS", "pht-entries", "0"},
+        {"SMS", "pht-entries", "6"},
         {"SMS", "pht-assoc", "0"},
     };
     for (const Case &c : cases) {

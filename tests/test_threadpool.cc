@@ -2,14 +2,13 @@
  * @file
  * Unit tests of the thread-pool job system: inline degeneration,
  * completion and ordering guarantees, exception propagation through
- * wait(), clean shutdown with queued work, and the parallelFor /
- * CBWS_JOBS helpers.
+ * wait(), clean shutdown with queued work, parallelFor and the
+ * hardware thread count.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -115,19 +114,6 @@ TEST(ParallelFor, PropagatesBodyException)
                                      throw std::runtime_error("boom");
                              }),
                  std::runtime_error);
-}
-
-TEST(JobsFromEnv, ReadsCbwsJobsWithFallback)
-{
-    ::unsetenv("CBWS_JOBS");
-    EXPECT_EQ(ThreadPool::jobsFromEnv(3), 3u);
-    EXPECT_GE(ThreadPool::jobsFromEnv(0), 1u) << "0 = hardware count";
-
-    ::setenv("CBWS_JOBS", "6", 1);
-    EXPECT_EQ(ThreadPool::jobsFromEnv(1), 6u);
-    ::setenv("CBWS_JOBS", "not-a-number", 1);
-    EXPECT_EQ(ThreadPool::jobsFromEnv(2), 2u);
-    ::unsetenv("CBWS_JOBS");
 }
 
 TEST(JobsFromEnv, HardwareJobsIsPositive)

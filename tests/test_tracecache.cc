@@ -446,19 +446,5 @@ TEST(TraceCacheDisabled, EverythingIsANoOp)
     EXPECT_TRUE(loaded.empty()) << "load() clears its output";
 }
 
-TEST(TraceCacheEnv, FromEnvHonoursDisableSpellings)
-{
-    for (const char *off : {"", "0", "off"}) {
-        ::setenv("CBWS_TRACE_CACHE", off, 1);
-        EXPECT_FALSE(TraceCache::fromEnv().enabled()) << off;
-    }
-    ::setenv("CBWS_TRACE_CACHE", "/tmp/cbws-cache-env-test", 1);
-    TraceCache cache = TraceCache::fromEnv();
-    EXPECT_TRUE(cache.enabled());
-    EXPECT_EQ(cache.directory(), "/tmp/cbws-cache-env-test");
-    ::unsetenv("CBWS_TRACE_CACHE");
-    EXPECT_FALSE(TraceCache::fromEnv().enabled());
-}
-
 } // anonymous namespace
 } // namespace cbws

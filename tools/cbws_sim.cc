@@ -4,12 +4,12 @@
  *
  * Runs one workload (or a trace file) through one or all prefetcher
  * configurations on the Table II system, with every interesting knob
- * exposed as a flag. Human-readable or CSV output.
+ * exposed as a flag. Human-readable, JSON or gem5-style stats output.
  *
  * Examples:
  *   cbws-sim --list
  *   cbws-sim --workload sgemm-medium --scheme all
- *   cbws-sim --workload nw --scheme CBWS --insts 200000 --csv
+ *   cbws-sim --workload nw --scheme CBWS --insts 200000 --json
  *   cbws-sim --workload fft-simlarge --scheme CBWS \
  *       --pf-opt table-entries=64
  *   cbws-sim --workload stencil-default --save-trace stencil.cbt
@@ -212,36 +212,6 @@ printHuman(const SimResult &r)
     }
 }
 
-void
-printCsvHeader()
-{
-    std::printf("workload,prefetcher,insts,cycles,ipc,mpki,"
-                "timely,shorter,nontimely,missing,wrong,"
-                "pf_issued,dram_read_bytes,loop_fraction\n");
-}
-
-void
-printCsv(const SimResult &r)
-{
-    std::printf("%s,%s,%llu,%llu,%.6f,%.4f,%.4f,%.4f,%.4f,%.4f,"
-                "%.4f,%llu,%llu,%.4f\n",
-                r.workload.c_str(), r.prefetcher.c_str(),
-                static_cast<unsigned long long>(
-                    r.core.instructions),
-                static_cast<unsigned long long>(r.core.cycles),
-                r.ipc(), r.mpki(),
-                r.classFraction(DemandClass::Timely),
-                r.classFraction(DemandClass::Shorter),
-                r.classFraction(DemandClass::NonTimely),
-                r.classFraction(DemandClass::Missing),
-                r.wrongFraction(),
-                static_cast<unsigned long long>(
-                    r.mem.prefetchesIssued),
-                static_cast<unsigned long long>(
-                    r.mem.dramBytesRead),
-                r.core.loopFraction());
-}
-
 } // anonymous namespace
 
 int
@@ -273,7 +243,6 @@ main(int argc, char **argv)
     args.addFlag("auto-annotate",
                  "strip kernel markers and re-annotate with the "
                  "automatic loop detector");
-    args.addFlag("csv", "machine-readable CSV output");
     args.addFlag("json", "machine-readable JSON output");
     args.addFlag("stats", "gem5-style full statistics dump");
     args.addOption("cores",
@@ -329,8 +298,7 @@ main(int argc, char **argv)
                    "Chrome trace event cap", "500000");
     args.addFlag("profile",
                  "host-side self-profiler: attribute the simulator's "
-                 "own wall time to phases and print the breakdown "
-                 "(also honours CBWS_PROFILE=1)");
+                 "own wall time to phases and print the breakdown");
     args.addOption("profile-json",
                    "profile artifact destination (implies --profile)",
                    "BENCH_profile.json");
@@ -356,7 +324,6 @@ main(int argc, char **argv)
     // synthesis is a phase) so the calibration window covers it.
     if (args.getFlag("profile") || args.provided("profile-json"))
         prof::enable();
-    prof::enableFromEnv();
 
     // Deterministic fault injection for robustness testing
     // (CBWS_FAULT / CBWS_FAULT_SEED, see base/faultinject.hh).
@@ -538,11 +505,9 @@ main(int argc, char **argv)
                 raw.append(rec);
         LoopAnnotator annotator;
         trace = annotator.annotate(raw);
-        if (!args.getFlag("csv")) {
-            std::printf("auto-annotation found %zu tight innermost "
-                        "loop(s)\n",
-                        annotator.loops().size());
-        }
+        std::printf("auto-annotation found %zu tight innermost "
+                    "loop(s)\n",
+                    annotator.loops().size());
     }
 
     if (args.provided("save-trace")) {
@@ -552,10 +517,8 @@ main(int argc, char **argv)
                          saved.error().str().c_str());
             return 1;
         }
-        if (!args.getFlag("csv")) {
-            std::printf("saved %zu records to %s\n", trace.size(),
-                        args.get("save-trace").c_str());
-        }
+        std::printf("saved %zu records to %s\n", trace.size(),
+                    args.get("save-trace").c_str());
     }
 
     if (num_cores == 1) {
@@ -594,10 +557,8 @@ main(int argc, char **argv)
         }
     }
 
-    const bool quiet = args.getFlag("csv") || args.getFlag("json");
-    if (args.getFlag("csv"))
-        printCsvHeader();
-    else if (!quiet) {
+    const bool quiet = args.getFlag("json");
+    if (!quiet) {
         if (num_cores > 1)
             std::printf("%s: %u cores, %llu insts/core "
                         "(%llu warmup)\n\n",
@@ -681,8 +642,6 @@ main(int argc, char **argv)
         }
         if (args.getFlag("json")) {
             results.push_back(std::move(r));
-        } else if (args.getFlag("csv")) {
-            printCsv(r);
         } else if (args.getFlag("stats")) {
             dumpStats(std::cout, r);
         } else {
@@ -706,7 +665,7 @@ main(int argc, char **argv)
     if (args.getFlag("json"))
         std::printf("%s\n", toJson(results, report_options).c_str());
     if (prof::enabled()) {
-        // Keep machine-readable stdout (csv/json) clean: the table
+        // Keep machine-readable stdout (json) clean: the table
         // goes to stderr there, stdout otherwise.
         const std::string table = prof::renderTable(profile_report);
         std::fputs(table.c_str(), quiet ? stderr : stdout);
