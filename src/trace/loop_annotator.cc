@@ -28,7 +28,7 @@ LoopAnnotator::detectLoops(const Trace &input)
         if (!inserted && it->second.header != rec.effAddr) {
             // Indirect backward branch with varying targets: keep the
             // smallest header so the body range is conservative.
-            it->second.header = std::min(it->second.header, rec.effAddr);
+            it->second.header = std::min<Addr>(it->second.header, rec.effAddr);
         }
         ++it->second.taken;
     }

@@ -17,8 +17,11 @@
 #define CBWS_TRACE_RECORD_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <type_traits>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 
 namespace cbws
@@ -53,20 +56,45 @@ isBlockMarker(InstClass cls)
 }
 
 /**
+ * An address as a trace record stores it. Traces live in a 4 GiB
+ * address space: every kernel's working set is scaled to the
+ * simulated 2 MB L2, so its PCs and data addresses stay far below
+ * 2^32. Reads widen to Addr implicitly.
+ */
+using TraceAddr = std::uint32_t;
+
+/**
+ * Narrow @p addr to a TraceAddr; fatal (exit 1, naming the address)
+ * when it does not fit, so a kernel that outgrows the trace address
+ * space stops instead of aliasing into it.
+ */
+inline TraceAddr
+traceAddr(Addr addr)
+{
+    if (addr > std::numeric_limits<TraceAddr>::max()) [[unlikely]]
+        fatal("trace address %#llx does not fit the 32-bit trace "
+              "address space",
+              static_cast<unsigned long long>(addr));
+    return static_cast<TraceAddr>(addr);
+}
+
+/**
  * One dynamic instruction.
  *
- * The layout is kept POD and packed to exactly 24 bytes (2.7 records
- * per cache line) so multi-million instruction traces stay cheap to
- * hold, cheap to stream from disk, and light on memory bandwidth in
- * the replay loop. The static_asserts below pin the layout: a field
- * added or reordered carelessly fails the build instead of silently
- * bloating every trace and invalidating the trace cache's on-disk
- * entries (which carry a record-size tag).
+ * The layout is kept POD and packed to exactly 16 bytes (4 records
+ * per 64-byte cache line) so multi-million instruction traces stay
+ * cheap to hold, cheap to stream from disk, and light on memory
+ * bandwidth in the replay loop. The static_asserts below pin the
+ * layout: a field added or reordered carelessly fails the build
+ * instead of silently bloating every trace and invalidating the
+ * trace cache's on-disk entries (which carry a record-size tag).
+ * Addresses are TraceAddrs; the factories below are the checked way
+ * in.
  */
 struct TraceRecord
 {
-    Addr pc = 0;              ///< virtual address of the instruction
-    Addr effAddr = 0;         ///< effective address (Load/Store) or
+    TraceAddr pc = 0;         ///< virtual address of the instruction
+    TraceAddr effAddr = 0;    ///< effective address (Load/Store) or
                               ///< branch target (Branch)
     InstClass cls = InstClass::Nop;
     std::uint8_t size = 0;    ///< access size in bytes (Load/Store)
@@ -84,7 +112,7 @@ struct TraceRecord
         RegIndex src2 = InvalidReg)
     {
         TraceRecord r;
-        r.pc = pc;
+        r.pc = traceAddr(pc);
         r.cls = InstClass::IntAlu;
         r.dest = dest;
         r.src1 = src1;
@@ -106,9 +134,9 @@ struct TraceRecord
          std::uint8_t size = 8)
     {
         TraceRecord r;
-        r.pc = pc;
+        r.pc = traceAddr(pc);
         r.cls = InstClass::Load;
-        r.effAddr = addr;
+        r.effAddr = traceAddr(addr);
         r.size = size;
         r.dest = dest;
         r.src1 = addr_reg;
@@ -120,9 +148,9 @@ struct TraceRecord
           RegIndex addr_reg = InvalidReg, std::uint8_t size = 8)
     {
         TraceRecord r;
-        r.pc = pc;
+        r.pc = traceAddr(pc);
         r.cls = InstClass::Store;
-        r.effAddr = addr;
+        r.effAddr = traceAddr(addr);
         r.size = size;
         r.src1 = data_reg;
         r.src2 = addr_reg;
@@ -134,10 +162,10 @@ struct TraceRecord
            RegIndex cond_reg = InvalidReg)
     {
         TraceRecord r;
-        r.pc = pc;
+        r.pc = traceAddr(pc);
         r.cls = InstClass::Branch;
         r.taken = taken;
-        r.effAddr = target;
+        r.effAddr = traceAddr(target);
         r.src1 = cond_reg;
         return r;
     }
@@ -146,7 +174,7 @@ struct TraceRecord
     blockBegin(Addr pc, BlockId id)
     {
         TraceRecord r;
-        r.pc = pc;
+        r.pc = traceAddr(pc);
         r.cls = InstClass::BlockBegin;
         r.blockId = id;
         return r;
@@ -156,7 +184,7 @@ struct TraceRecord
     blockEnd(Addr pc, BlockId id)
     {
         TraceRecord r;
-        r.pc = pc;
+        r.pc = traceAddr(pc);
         r.cls = InstClass::BlockEnd;
         r.blockId = id;
         return r;
@@ -165,9 +193,9 @@ struct TraceRecord
 
 static_assert(std::is_trivially_copyable_v<TraceRecord>,
               "TraceRecord is memcpy'd to/from disk");
-static_assert(sizeof(TraceRecord) == 24,
-              "TraceRecord must stay packed at 24 bytes");
-static_assert(offsetof(TraceRecord, blockId) == 22,
+static_assert(sizeof(TraceRecord) == 16,
+              "TraceRecord must stay packed at 16 bytes");
+static_assert(offsetof(TraceRecord, blockId) == 14,
               "TraceRecord fields must leave no padding holes");
 
 } // namespace cbws

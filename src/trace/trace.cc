@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "base/logging.hh"
 
@@ -24,9 +25,12 @@ namespace cbws
  * hold at MinEncodedRecordBytes each, or a body that ends mid-record
  * is corrupt. Bytes after the last record are ignored.
  *
- * A record whose class lies past InstClass::Nop, or whose
- * src1/src2/dest byte is neither below NumArchRegs nor InvalidReg,
- * makes the file corrupt.
+ * A record whose class lies past InstClass::Nop, whose taken byte is
+ * neither 0 nor 1, whose src1/src2/dest byte is neither below
+ * NumArchRegs nor InvalidReg, whose PC, memory address or branch
+ * target falls outside [0, 2^32) (a TraceRecord holds 32-bit
+ * addresses) or whose block id exceeds 0xFFFF makes the file
+ * corrupt.
  */
 
 namespace
@@ -51,6 +55,22 @@ unzigzag(std::uint64_t v)
 {
     return static_cast<std::int64_t>(v >> 1) ^
            -static_cast<std::int64_t>(v & 1);
+}
+
+/**
+ * @p base plus the zigzag-encoded delta @p v into @p out; false when
+ * the sum falls outside the TraceAddr range. The sum is taken modulo
+ * 2^64, which is exact here: with |delta| <= 2^63, only a true sum
+ * in [0, 2^32) lands there.
+ */
+bool
+addDelta(TraceAddr base, std::uint64_t v, TraceAddr &out)
+{
+    const Addr sum = base + static_cast<Addr>(unzigzag(v));
+    if (sum > std::numeric_limits<TraceAddr>::max())
+        return false;
+    out = static_cast<TraceAddr>(sum);
+    return true;
 }
 
 /** A register byte the core can rename: an architectural register
@@ -150,13 +170,19 @@ encodeVarint(unsigned char *p, std::uint64_t v)
     return p;
 }
 
-/**
- * Decode the varint at @p p, reading no byte at or past @p end, and
- * advance @p p past it. False on EOF or overflow.
- */
+} // anonymous namespace
+
+void
+appendVarint(std::string &out, std::uint64_t v)
+{
+    unsigned char buf[MaxVarintBytes];
+    out.append(reinterpret_cast<const char *>(buf),
+               encodeVarint(buf, v) - buf);
+}
+
 bool
-decodeVarint(const unsigned char *&p, const unsigned char *end,
-             std::uint64_t &v)
+readVarint(const unsigned char *&p, const unsigned char *end,
+           std::uint64_t &v)
 {
     v = 0;
     for (unsigned shift = 0; shift < 64; shift += 7) {
@@ -171,16 +197,6 @@ decodeVarint(const unsigned char *&p, const unsigned char *end,
             return true;
     }
     return false;
-}
-
-} // anonymous namespace
-
-void
-appendVarint(std::string &out, std::uint64_t v)
-{
-    unsigned char buf[MaxVarintBytes];
-    out.append(reinterpret_cast<const char *>(buf),
-               encodeVarint(buf, v) - buf);
 }
 
 void
@@ -228,26 +244,24 @@ decodeBody(const unsigned char *p, std::size_t n,
     std::uint64_t count = 0;
     // A count the rest of the bytes cannot hold is corrupt; trusting
     // it would let one flipped byte demand an impossible allocation.
-    if (!decodeVarint(p, end, count) ||
+    if (!readVarint(p, end, count) ||
         count > static_cast<std::uint64_t>(end - p) /
                     MinEncodedRecordBytes)
         return false;
     records.clear();
     records.reserve(count);
-    Addr prev_pc = 0;
-    Addr prev_addr = 0;
+    TraceAddr prev_pc = 0;
+    TraceAddr prev_addr = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         TraceRecord r;
-        if (end - p < 2)
+        if (end - p < 2 || p[1] > 1)
             return false;
         r.cls = static_cast<InstClass>(p[0]);
         r.taken = p[1] != 0;
         p += 2;
         std::uint64_t v;
-        if (!decodeVarint(p, end, v))
+        if (!readVarint(p, end, v) || !addDelta(prev_pc, v, r.pc))
             return false;
-        r.pc = static_cast<Addr>(static_cast<std::int64_t>(prev_pc) +
-                                 unzigzag(v));
         prev_pc = r.pc;
         if (end - p < 4)
             return false;
@@ -257,18 +271,16 @@ decodeBody(const unsigned char *p, std::size_t n,
         r.size = p[3];
         p += 4;
         if (isMemory(r.cls)) {
-            if (!decodeVarint(p, end, v))
+            if (!readVarint(p, end, v) ||
+                !addDelta(prev_addr, v, r.effAddr))
                 return false;
-            r.effAddr = static_cast<Addr>(
-                static_cast<std::int64_t>(prev_addr) + unzigzag(v));
             prev_addr = r.effAddr;
         } else if (r.cls == InstClass::Branch) {
-            if (!decodeVarint(p, end, v))
+            if (!readVarint(p, end, v) || !addDelta(r.pc, v, r.effAddr))
                 return false;
-            r.effAddr = static_cast<Addr>(
-                static_cast<std::int64_t>(r.pc) + unzigzag(v));
         } else if (isBlockMarker(r.cls)) {
-            if (!decodeVarint(p, end, v))
+            if (!readVarint(p, end, v) ||
+                v > std::numeric_limits<BlockId>::max())
                 return false;
             r.blockId = static_cast<BlockId>(v);
         }

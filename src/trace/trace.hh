@@ -35,6 +35,14 @@ namespace tracecodec
 /** Append @p v to @p out as a varint. */
 void appendVarint(std::string &out, std::uint64_t v);
 
+/**
+ * Decode the varint at @p p into @p v, reading no byte at or past
+ * @p end, and advance @p p past it. False on EOF or overflow (more
+ * than 10 bytes, or a 10th byte above 0x01).
+ */
+bool readVarint(const unsigned char *&p, const unsigned char *end,
+                std::uint64_t &v);
+
 /** Append the record count + encoded records to @p out. */
 void encodeBody(const std::vector<TraceRecord> &records,
                 std::string &out);
@@ -104,7 +112,7 @@ class Trace
 
     /**
      * Serialise to the CBT2 format: per-field delta + varint
-     * encoding, a fraction of the in-memory records' 24 bytes each.
+     * encoding, a fraction of the in-memory records' 16 bytes each.
      * IoError on open or short-write failure.
      */
     Result<void> saveTo(const std::string &path) const;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -56,6 +57,20 @@ TEST(TraceRecord, IsCompact)
 {
     // Multi-million-record traces rely on the record staying small.
     EXPECT_LE(sizeof(TraceRecord), 32u);
+}
+
+TEST(TraceRecordDeathTest, FactoryIsFatalOnAddressPast32Bits)
+{
+    // A record holds 32-bit addresses; the factories refuse, naming
+    // the address, rather than truncate 2^32 to 0.
+    EXPECT_EXIT(TraceRecord::load(0x400, 1ull << 32, 1),
+                testing::ExitedWithCode(1), "0x100000000");
+    EXPECT_EXIT(TraceRecord::alu(1ull << 32, 1),
+                testing::ExitedWithCode(1), "0x100000000");
+    EXPECT_EXIT(TraceRecord::branch(0x400, true, 1ull << 32),
+                testing::ExitedWithCode(1), "0x100000000");
+    const TraceRecord edge = TraceRecord::store(0x400, 0xffffffff, 1);
+    EXPECT_EQ(edge.effAddr, 0xffffffffu);
 }
 
 TEST(Trace, AppendAndIterate)
@@ -169,9 +184,8 @@ TEST(TraceFile, CompressedIsSmaller)
     std::fseek(f, 0, SEEK_END);
     const long comp_bytes = std::ftell(f);
     std::fclose(f);
-    // Under half the bytes of the in-memory records.
-    EXPECT_LT(static_cast<std::size_t>(comp_bytes) * 2,
-              t.size() * sizeof(TraceRecord));
+    // Under 10 bytes per record (the encoding takes about 9).
+    EXPECT_LT(static_cast<std::size_t>(comp_bytes), t.size() * 10);
     std::remove(comp.c_str());
 }
 
@@ -252,22 +266,83 @@ TEST(TraceFile, OverflowingVarintIsCorrupt)
     EXPECT_TRUE(t.empty());
     std::remove(path.c_str());
 
-    // One IntAlu record whose PC delta is the longest varint: with
-    // 0x01 as its 10th byte it decodes, with 0x02 it overflows.
+    // The longest varint: with 0x01 as its 10th byte it decodes to a
+    // value with bit 63 set, with 0x02 it overflows.
+    for (const unsigned char tenth : {0x01, 0x02}) {
+        std::string bytes(9, '\xff');
+        bytes += static_cast<char>(tenth);
+        const auto *p =
+            reinterpret_cast<const unsigned char *>(bytes.data());
+        std::uint64_t v = 0;
+        const bool ok = tracecodec::readVarint(p, p + bytes.size(), v);
+        if (tenth == 0x01) {
+            ASSERT_TRUE(ok);
+            EXPECT_EQ(v, ~0ull);
+        } else {
+            EXPECT_FALSE(ok);
+        }
+    }
+
+    // One IntAlu record whose PC delta is that varint. With 0x01 the
+    // delta decodes to -2^63 (the zigzag code 2^64 - 1), a PC no
+    // 32-bit record can hold; with 0x02 it overflows. Both are
+    // corrupt.
     for (const char tenth : {'\x01', '\x02'}) {
         path = writeFile("cbws_trace_overflow.bin",
                          std::string("CBT2\x01\0\0", 7) +
                              std::string(9, '\xff') + tenth +
                              std::string(4, '\0'));
         r = t.loadFrom(path);
-        if (tenth == '\x01') {
-            ASSERT_TRUE(r.ok());
-            ASSERT_EQ(t.size(), 1u);
-            EXPECT_EQ(t[0].pc, 1ull << 63); // zigzag(-2^63) = 2^64 - 1
-        } else {
-            EXPECT_EQ(r.code(), Errc::Corrupt);
-        }
+        EXPECT_EQ(r.code(), Errc::Corrupt);
+        EXPECT_TRUE(t.empty());
         std::remove(path.c_str());
+    }
+}
+
+TEST(TraceFile, OutOfRangeAddressIsCorrupt)
+{
+    // A record holds 32-bit addresses, so a PC, memory address or
+    // branch target outside [0, 2^32) is corrupt, never truncated.
+    // Each image: count 1, then class, taken, zigzag PC delta,
+    // src1/src2/dest, size and the operand varint.
+    const std::string regs("\xff\xff\xff\x00", 4);
+    const std::string edge("\xfe\xff\xff\xff\x1f", 5); // +2^32 - 1
+    const std::string past("\x80\x80\x80\x80\x20", 5); // +2^32
+    const struct
+    {
+        std::string body;
+        bool loads;
+    } cases[] = {
+        // IntAlu PCs: 2^32 and -1 are out, 2^32 - 1 is the edge.
+        {std::string("\x00\x00", 2) + past + regs, false},
+        {std::string("\x00\x00\x01", 3) + regs, false},
+        {std::string("\x00\x00", 2) + edge + regs, true},
+        // Load at PC 0: effective address 2^32, -1, then 2^32 - 1.
+        {std::string("\x03\x00\x00", 3) + regs + past, false},
+        {std::string("\x03\x00\x00", 3) + regs + "\x01", false},
+        {std::string("\x03\x00\x00", 3) + regs + edge, true},
+        // Branch at PC 0: target 2^32, -1, then 2^32 - 1.
+        {std::string("\x05\x01\x00", 3) + regs + past, false},
+        {std::string("\x05\x01\x00", 3) + regs + "\x01", false},
+        {std::string("\x05\x01\x00", 3) + regs + edge, true},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE("case " + std::to_string(&c - cases));
+        const std::string path =
+            writeFile("cbws_trace_addr.bin",
+                      std::string("CBT2\x01", 5) + c.body);
+        Trace t;
+        t.append(TraceRecord::alu(1, 1)); // must be replaced
+        Result<void> r = t.loadFrom(path);
+        std::remove(path.c_str());
+        if (!c.loads) {
+            EXPECT_EQ(r.code(), Errc::Corrupt);
+            EXPECT_TRUE(t.empty());
+            continue;
+        }
+        ASSERT_TRUE(r.ok());
+        ASSERT_EQ(t.size(), 1u);
+        EXPECT_EQ(std::max<Addr>(t[0].pc, t[0].effAddr), 0xffffffffu);
     }
 }
 
@@ -306,6 +381,58 @@ TEST(TraceFile, OutOfRangeRegisterOrClassIsCorrupt)
         EXPECT_EQ(t[0].cls, static_cast<InstClass>(c[0]));
         EXPECT_EQ(t[0].src1, c[1]);
         EXPECT_EQ(t[0].dest, c[2]);
+    }
+}
+
+TEST(TraceFile, OversizedBlockIdOrTakenByteIsCorrupt)
+{
+    // A block id is 16 bits and taken is a bool: a larger block id
+    // varint would be truncated, and a taken byte of 2 would load but
+    // save back as 1. The last two images are the in-range edges.
+    const struct
+    {
+        std::string bytes;
+        bool loads;
+    } cases[] = {
+        // BlockBegin of block 0x10005.
+        {std::string("CBT2\x01\x06\x00\x00\xff\xff\xff\x00\x85\x80\x04",
+                     15),
+         false},
+        // Branch with taken byte 2.
+        {std::string("CBT2\x01\x05\x02\x00\xff\xff\xff\x00\x00", 13),
+         false},
+        // BlockBegin of block 0xFFFF.
+        {std::string("CBT2\x01\x06\x00\x00\xff\xff\xff\x00\xff\xff\x03",
+                     15),
+         true},
+        // Branch with taken byte 1.
+        {std::string("CBT2\x01\x05\x01\x00\xff\xff\xff\x00\x00", 13),
+         true},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE("case " + std::to_string(&c - cases));
+        const std::string path = writeFile("cbws_trace_narrow.bin", c.bytes);
+        Trace t;
+        t.append(TraceRecord::alu(1, 1)); // must be replaced
+        Result<void> r = t.loadFrom(path);
+        if (!c.loads) {
+            std::remove(path.c_str());
+            EXPECT_EQ(r.code(), Errc::Corrupt);
+            EXPECT_TRUE(t.empty());
+            continue;
+        }
+        ASSERT_TRUE(r.ok());
+        ASSERT_EQ(t.size(), 1u);
+        EXPECT_TRUE(t[0].blockId == 0xffff || t[0].taken);
+        // Saving what loaded writes the same bytes back.
+        ASSERT_TRUE(t.saveTo(path));
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        ASSERT_NE(f, nullptr);
+        std::string saved;
+        EXPECT_TRUE(tracecodec::readAll(f, saved));
+        std::fclose(f);
+        std::remove(path.c_str());
+        EXPECT_EQ(saved, c.bytes);
     }
 }
 

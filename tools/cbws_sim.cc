@@ -505,9 +505,10 @@ main(int argc, char **argv)
                 raw.append(rec);
         LoopAnnotator annotator;
         trace = annotator.annotate(raw);
-        std::printf("auto-annotation found %zu tight innermost "
-                    "loop(s)\n",
-                    annotator.loops().size());
+        std::fprintf(stderr,
+                     "auto-annotation found %zu tight innermost "
+                     "loop(s)\n",
+                     annotator.loops().size());
     }
 
     if (args.provided("save-trace")) {
@@ -517,8 +518,8 @@ main(int argc, char **argv)
                          saved.error().str().c_str());
             return 1;
         }
-        std::printf("saved %zu records to %s\n", trace.size(),
-                    args.get("save-trace").c_str());
+        std::fprintf(stderr, "saved %zu records to %s\n",
+                     trace.size(), args.get("save-trace").c_str());
     }
 
     if (num_cores == 1) {
