@@ -44,8 +44,6 @@ toString(FaultSite site)
         return "trace-cache-store";
       case FaultSite::TraceCacheCorrupt:
         return "trace-cache-corrupt";
-      case FaultSite::SnapshotWrite:
-        return "snapshot-write";
       case FaultSite::CheckpointAppend:
         return "checkpoint-append";
       case FaultSite::CellKill:

@@ -5,8 +5,8 @@
  * Robustness code is only as good as its failure paths, and failure
  * paths are exactly the code that never runs. This harness plants
  * named fault *sites* at the simulator's I/O seams — trace-cache
- * reads/writes, snapshot and checkpoint writes, the matrix runner's
- * per-cell kill — and fires manufactured failures at them on a
+ * reads/writes, checkpoint appends, the matrix runner's per-cell
+ * kill — and fires manufactured failures at them on a
  * deterministic schedule, so every degradation path (fall back to
  * re-synthesis, warn-and-continue, resume after SIGKILL) can be
  * exercised in tests and CI with a fixed seed.
@@ -46,7 +46,6 @@ enum class FaultSite : unsigned
     TraceCacheLoad,    ///< I/O error reading a trace-cache file
     TraceCacheStore,   ///< failure writing a trace-cache file
     TraceCacheCorrupt, ///< corrupt a trace-cache file after publish
-    SnapshotWrite,     ///< failure appending a stats snapshot record
     CheckpointAppend,  ///< failure appending a checkpoint record
     CellKill,          ///< runMatrix SIGKILLs itself after a cell
     NumSites,

@@ -71,7 +71,7 @@ struct JsonValue
 /**
  * Resource bounds enforced while parsing. The defaults are generous
  * enough for every format the project writes itself (checkpoints,
- * snapshots, reports) while still bounding recursion and allocation;
+ * reports, profiles) while still bounding recursion and allocation;
  * a caller that knows its documents are small can pass tighter caps.
  * A cap of 0 means unlimited.
  */

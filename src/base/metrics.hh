@@ -6,8 +6,8 @@
  * register values under dotted paths ("core0.l1d.miss_rate") with a
  * kind and a description. The statsdump text format, the report JSON
  * `metrics` section and the Chrome-trace counter dumps render from
- * this registry; the report's main body and the snapshot records
- * keep their own field lists, whose byte order the goldens pin.
+ * this registry; the report's main body keeps its own field list,
+ * whose byte order the goldens pin.
  *
  * Kinds:
  *  - Scalar:    a uint64 counter.

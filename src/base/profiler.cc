@@ -41,8 +41,6 @@ toString(Phase phase)
         return "pf_issue";
       case Phase::Dram:
         return "dram";
-      case Phase::SnapshotIO:
-        return "snapshot_io";
       case Phase::CheckpointIO:
         return "checkpoint_io";
       case Phase::TraceCacheIO:
@@ -78,8 +76,6 @@ describe(Phase phase)
         return "prefetch queue drain into the memory system";
       case Phase::Dram:
         return "MSHR/DRAM fill drain processing";
-      case Phase::SnapshotIO:
-        return "stats snapshot serialisation and write";
       case Phase::CheckpointIO:
         return "checkpoint append (seal, write, flush)";
       case Phase::TraceCacheIO:

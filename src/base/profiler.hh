@@ -2,9 +2,9 @@
  * @file
  * Host-side self-profiler: where does the *simulator's* wall time go?
  *
- * Everything else in the observability stack (debug flags, snapshots,
- * Chrome traces) looks at the simulated machine; this looks at the
- * simulating process. Components bracket their work with PROF_SCOPE
+ * The rest of the observability stack (statistics, the Chrome trace)
+ * looks at the simulated machine; this looks at the simulating
+ * process. Components bracket their work with PROF_SCOPE
  * phase markers; the profiler attributes host time between markers to
  * the innermost active phase ("switch-point" accounting), so the
  * per-phase exclusive times of a thread partition its wall time
@@ -61,7 +61,6 @@ enum class Phase : unsigned
     PfObserve,      ///< prefetcher training (observe/blockBegin/End)
     PfIssue,        ///< prefetch-queue drain into the memory system
     Dram,           ///< MSHR/DRAM fill-drain processing
-    SnapshotIO,     ///< JSONL stats-snapshot serialisation + write
     CheckpointIO,   ///< checkpoint open/append (seal, write, flush)
     TraceCacheIO,   ///< on-disk trace-cache load/store
     Fetch,          ///< OoO fetch stage (branch predict, L1I)

@@ -4,12 +4,12 @@
  *
  * CMake stamps the git SHA (plus a -dirty marker), compiler id and
  * flags, and build type into a generated version.cc at configure
- * time. Every emitted artifact (reports, snapshots, checkpoints,
+ * time. Every emitted artifact (reports, checkpoints, tournaments,
  * BENCH_*.json) can then carry a `provenance` object so performance
  * trajectories and golden files stay attributable to a commit.
  *
  * Gating: BENCH_*.json artifacts are never golden-diffed, so they
- * are always stamped. Report/snapshot/statsdump outputs *are*
+ * are always stamped. Report and statsdump outputs *are*
  * golden-diffed byte-for-byte in CI, so their provenance sections sit
  * behind an explicit opt-in flag (see sim-layer options).
  */

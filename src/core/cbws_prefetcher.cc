@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "base/debug.hh"
 #include "base/logging.hh"
 #include "base/metrics.hh"
 #include "prefetch/registry.hh"
@@ -105,9 +104,6 @@ CbwsPrefetcher::blockEnd(BlockId id, PrefetchSink &sink)
     ++stats_.blocksCompleted;
     if (currTruncated_)
         ++stats_.blocksTruncated;
-    DPRINTF(CBWS, "block %llu end: ws=%zu members%s",
-            static_cast<unsigned long long>(id), currCbws_.size(),
-            currTruncated_ ? " (truncated)" : "");
 
     // Fig. 5 instrumentation: identity of the 1-step differential.
     if (probe_ && !prev_[0].empty() && !currDiff_[0].empty())
@@ -148,9 +144,6 @@ CbwsPrefetcher::blockEnd(BlockId id, PrefetchSink &sink)
         }
         ++stats_.tableHits;
         lastBlockPredicted_ = true;
-        DPRINTF(CBWS, "step %u hit: predicting %zu lines for "
-                "block %llu", k, pred->size(),
-                static_cast<unsigned long long>(id) + k + 1);
         const std::size_t n = pred->size() < prev_[0].size()
                                   ? pred->size()
                                   : prev_[0].size();

@@ -99,9 +99,6 @@ class CbwsPrefetcher : public Prefetcher
     const CbwsSchemeStats &schemeStats() const { return stats_; }
     const CbwsParams &params() const { return params_; }
 
-    /** Live prediction-table view (observability gauges). */
-    const DifferentialTable &table() const { return table_; }
-
     /** Currently between BLOCK_BEGIN and BLOCK_END? */
     bool inBlock() const { return inBlock_; }
 

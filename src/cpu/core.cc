@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "base/debug.hh"
 #include "base/logging.hh"
 #include "base/profiler.hh"
 #include "base/tuning.hh"
@@ -176,10 +175,6 @@ OooCore::commitStage(Cycle now)
         }
         if (onCommit_ && (commitHookMask_ & classBit(rec.cls)))
             onCommit_(rec, head.mem, now);
-        DPRINTF(Core, "commit seq=%llu pc=%#llx cls=%d",
-                static_cast<unsigned long long>(headSeq_),
-                static_cast<unsigned long long>(rec.pc),
-                static_cast<int>(rec.cls));
         lastCommittedInBlock_ = head.inBlock;
         if (++robHead_ == params_.robSize)
             robHead_ = 0;
@@ -316,11 +311,6 @@ OooCore::issueStage(Cycle now)
             ready = now + 1;
             if (e.mispredicted) {
                 fetchAllowedAt_ = ready + params_.mispredictPenalty;
-                DPRINTF(Core, "mispredict pc=%#llx resolved; "
-                        "fetch resumes at %llu",
-                        static_cast<unsigned long long>(rec.pc),
-                        static_cast<unsigned long long>(
-                            fetchAllowedAt_));
                 if (trace_ && trace_->wants(now)) {
                     trace_->instant("core", "mispredict",
                                     TraceTrack::Core, now, rec.pc);

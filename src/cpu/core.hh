@@ -143,8 +143,7 @@ class OooCore
      * Observer invoked for every committed instruction, in program
      * order. Memory records carry the execute-time access outcome
      * (for L1-hit/miss-filtered prefetcher training). The cycle of
-     * the commit is passed for observability consumers (periodic
-     * snapshots, timeline traces).
+     * the commit is passed for observers that time events.
      */
     using CommitHook = std::function<void(
         const TraceRecord &, const AccessOutcome &, Cycle)>;

@@ -171,20 +171,6 @@ class DramBackend
      */
     virtual void write(LineAddr line, Cycle arrival) = 0;
 
-    /** Reads still outstanding at @p now (snapshot gauge). */
-    virtual unsigned readQueueDepth(Cycle now) const
-    {
-        (void)now;
-        return 0;
-    }
-
-    /** Writebacks buffered at @p now (snapshot gauge). */
-    virtual unsigned writeQueueDepth(Cycle now) const
-    {
-        (void)now;
-        return 0;
-    }
-
     const DramStats &stats() const { return stats_; }
 
     /** Zero the counters; timing state is preserved (warm-up). */

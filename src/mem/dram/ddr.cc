@@ -9,7 +9,6 @@
 #include <functional>
 #include <memory>
 
-#include "base/debug.hh"
 #include "base/logging.hh"
 
 namespace cbws
@@ -121,7 +120,7 @@ DdrBackend::fawAdjust(Rank &rank, Cycle t)
 }
 
 Cycle
-DdrBackend::serviceColumn(const Decoded &d, Cycle t, bool is_write)
+DdrBackend::serviceColumn(const Decoded &d, Cycle t)
 {
     t = refreshAdjust(d.rank, t);
 
@@ -159,14 +158,6 @@ DdrBackend::serviceColumn(const Decoded &d, Cycle t, bool is_write)
     // never completes before an earlier one.
     completion = std::max(completion, bank.lastCompletion);
     bank.lastCompletion = completion;
-
-    DPRINTF(DRAM,
-            "%s ch=%u bank=%u row=%llu cas=%llu done=%llu\n",
-            is_write ? "WR" : "RD", d.channel, d.bank,
-            static_cast<unsigned long long>(d.row),
-            static_cast<unsigned long long>(cas),
-            static_cast<unsigned long long>(completion));
-
     return completion;
 }
 
@@ -200,9 +191,6 @@ DdrBackend::read(const DramRequest &req)
             deferredTo = std::max(deferredTo, popEarliestRead(ch));
         ++stats_.prefetchesDeferred;
         stats_.deferralCycles += deferredTo - t;
-        DPRINTF(DRAM, "defer prefetch src=%s by %llu cycles\n",
-                toString(req.src),
-                static_cast<unsigned long long>(deferredTo - t));
         t = deferredTo;
     }
 
@@ -210,7 +198,7 @@ DdrBackend::read(const DramRequest &req)
     t = std::max(t, ch.drainBusyUntil);
 
     const Cycle busDone =
-        serviceColumn(d, t + ddr_.frontendLatency, false);
+        serviceColumn(d, t + ddr_.frontendLatency);
     const Cycle completion = busDone + ddr_.backendLatency;
 
     ch.readOutstanding.push_back(completion);
@@ -240,36 +228,12 @@ DdrBackend::drainWrites(Channel &ch, Cycle now)
 {
     ++stats_.writeDrains;
     Cycle t = std::max(now, ch.drainBusyUntil);
-    DPRINTF(DRAM, "write drain: %zu buffered at cycle %llu\n",
-            ch.writeQueue.size(),
-            static_cast<unsigned long long>(t));
     while (ch.writeQueue.size() > ddr_.writeLowWatermark) {
         const BufferedWrite w = ch.writeQueue.front();
         ch.writeQueue.pop_front();
-        t = serviceColumn(decode(w.line),
-                          std::max(t, w.arrival), true);
+        t = serviceColumn(decode(w.line), std::max(t, w.arrival));
     }
     ch.drainBusyUntil = t;
-}
-
-unsigned
-DdrBackend::readQueueDepth(Cycle now) const
-{
-    unsigned depth = 0;
-    for (const Channel &ch : channels_)
-        for (Cycle c : ch.readOutstanding)
-            depth += c > now ? 1 : 0;
-    return depth;
-}
-
-unsigned
-DdrBackend::writeQueueDepth(Cycle now) const
-{
-    (void)now;
-    unsigned depth = 0;
-    for (const Channel &ch : channels_)
-        depth += static_cast<unsigned>(ch.writeQueue.size());
-    return depth;
 }
 
 std::unique_ptr<DramBackend>

@@ -61,9 +61,6 @@ class DdrBackend : public DramBackend
     Cycle read(const DramRequest &req) override;
     void write(LineAddr line, Cycle arrival) override;
 
-    unsigned readQueueDepth(Cycle now) const override;
-    unsigned writeQueueDepth(Cycle now) const override;
-
     /** The geometry/timing this instance runs with. */
     const DdrParams &timing() const { return ddr_; }
 
@@ -135,7 +132,7 @@ class DdrBackend : public DramBackend
      * earlier than @p t; returns the cycle its data leaves the bus.
      * Updates row-buffer state and the row-hit statistics.
      */
-    Cycle serviceColumn(const Decoded &d, Cycle t, bool is_write);
+    Cycle serviceColumn(const Decoded &d, Cycle t);
 
     /** Write-drain burst: service buffered writes down to the low
      *  watermark, starting at @p now. */

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <strings.h>
 
-#include "base/debug.hh"
 #include "base/logging.hh"
 #include "base/profiler.hh"
 
@@ -187,9 +186,6 @@ Hierarchy::attributePollution(LineAddr line, unsigned core)
     ++stats_.crossCorePollutionMisses;
     stats_.perCore[core].pollutionVictimMisses++;
     stats_.perCore[aggressor].pollutionCausedMisses++;
-    DPRINTF(Prefetch,
-            "pollution miss line=%#llx victim-core=%u aggressor=%u",
-            static_cast<unsigned long long>(line), core, aggressor);
 }
 
 void
@@ -223,12 +219,6 @@ Hierarchy::drainL2(Cycle now)
                                                      e.firstDemandAt
                                                : 0);
             }
-            DPRINTF(Prefetch,
-                    "fill line=%#llx src=%s id=%llu%s",
-                    static_cast<unsigned long long>(e.line),
-                    toString(e.pfSource),
-                    static_cast<unsigned long long>(e.pfId),
-                    e.demanded ? " (late: demand waited)" : "");
         }
         Cache::Victim victim =
             l2_.insert(e.line, now, prefetched, e.pfSource, e.core);
@@ -254,9 +244,6 @@ Hierarchy::drainL2(Cycle now)
                 ++stats_
                       .pfLife[static_cast<unsigned>(victim.pfSource)]
                       .evictedUnused;
-                DPRINTF(Prefetch, "evict-unused line=%#llx src=%s",
-                        static_cast<unsigned long long>(victim.line),
-                        toString(victim.pfSource));
                 if (trace_ && trace_->wants(now)) {
                     trace_->instant("prefetch", "evict-unused",
                                     TraceTrack::Prefetch, now,
@@ -281,9 +268,6 @@ Hierarchy::drainL2(Cycle now)
                 }
                 l1i_[c].invalidate(victim.line);
             }
-            DPRINTF(Cache, "L2 evict line=%#llx%s",
-                    static_cast<unsigned long long>(victim.line),
-                    victim.dirty ? " (writeback)" : "");
         }
     });
 }
@@ -324,11 +308,6 @@ Hierarchy::issuePrefetches(Cycle now)
         if (l2_.contains(req.line) || l2Mshr_.find(req.line)) {
             ++stats_.prefetchesFiltered;
             ++stats_.pfLife[static_cast<unsigned>(req.src)].merged;
-            DPRINTF(Prefetch, "merge-at-issue line=%#llx src=%s "
-                    "id=%llu (already cached/in flight)",
-                    static_cast<unsigned long long>(req.line),
-                    toString(req.src),
-                    static_cast<unsigned long long>(req.id));
             queuedLines_.erase(req.line);
             prefetchQueue_.pop_front();
             continue;
@@ -347,18 +326,12 @@ Hierarchy::issuePrefetches(Cycle now)
             l2Mshr_.allocate(req.line, ready,
                              /*is_prefetch=*/true, /*is_write=*/false);
         e.pfSource = req.src;
-        e.pfId = req.id;
         e.core = req.core;
         stats_.dramBytesRead += LineBytes;
         ++stats_.prefetchesIssued;
         if (!stats_.perCore.empty())
             ++stats_.perCore[req.core].prefetchesIssued;
         ++issued;
-        DPRINTF(Prefetch, "issue line=%#llx src=%s id=%llu readyAt=%llu",
-                static_cast<unsigned long long>(req.line),
-                toString(req.src),
-                static_cast<unsigned long long>(req.id),
-                static_cast<unsigned long long>(ready));
         if (trace_ && trace_->wants(now)) {
             trace_->complete("prefetch", toString(req.src),
                              TraceTrack::Prefetch, now, ready - now,
@@ -372,8 +345,6 @@ Hierarchy::issuePrefetches(Cycle now)
 void
 Hierarchy::tick(Cycle now)
 {
-    if (__builtin_expect(debug::state.anyEnabled, 0))
-        debug::setCycle(now);
     if (lastDrainCycle_ == now) {
         // Drains already ran this cycle (the common repeat is the
         // tick() inside each demand access); only the prefetch issue
@@ -435,10 +406,6 @@ Hierarchy::mergeQueuedPrefetch(LineAddr line, Cycle now)
     if (it == prefetchQueue_.end())
         return;
     ++stats_.pfLife[static_cast<unsigned>(it->src)].merged;
-    DPRINTF(Prefetch,
-            "merge-by-demand line=%#llx src=%s id=%llu (non-timely)",
-            static_cast<unsigned long long>(line), toString(it->src),
-            static_cast<unsigned long long>(it->id));
     if (trace_ && trace_->wants(now)) {
         trace_->instant("prefetch", "overtaken-by-demand",
                         TraceTrack::Prefetch, now, line);
@@ -470,9 +437,6 @@ Hierarchy::l2DemandAccess(LineAddr line, Cycle t_l2, bool is_write,
             ++stats_.pfLife[static_cast<unsigned>(src)]
                   .demandHitTimely;
             recordLateness(src, 0);
-            DPRINTF(Prefetch, "demand-hit-timely line=%#llx src=%s",
-                    static_cast<unsigned long long>(line),
-                    toString(src));
         } else {
             cls = DemandClass::CachedHit;
         }
@@ -501,8 +465,6 @@ Hierarchy::l2DemandAccess(LineAddr line, Cycle t_l2, bool is_write,
 
     if (l2Mshr_.full()) {
         stall = true;
-        DPRINTF(MSHR, "L2 MSHR full: stalling demand line=%#llx",
-                static_cast<unsigned long long>(line));
         return 0;
     }
     const Cycle ready = dram_->read(
@@ -681,10 +643,6 @@ Hierarchy::demandAccess(LineAddr line, Cycle now, bool is_write,
     }
     if (is_data && cls != DemandClass::None) {
         ++stats_.classCounts[static_cast<int>(cls)];
-        DPRINTF(Cache, "demand %s line=%#llx -> %s readyAt=%llu",
-                is_write ? "store" : "load",
-                static_cast<unsigned long long>(line), className(cls),
-                static_cast<unsigned long long>(l2_ready));
         if (trace_ && cls != DemandClass::CachedHit &&
             trace_->wants(now)) {
             trace_->complete("cache", className(cls),
@@ -730,33 +688,22 @@ Hierarchy::enqueuePrefetch(LineAddr line, PfSource src, unsigned core)
         ++stats_.perCore[core].prefetchesRequested;
     auto &life = stats_.pfLife[static_cast<unsigned>(src)];
     ++life.issued;
-    const std::uint64_t id = nextPfId_++;
     if (l2_.contains(line) || l2Mshr_.find(line) ||
         prefetchQueued(line)) {
         ++stats_.prefetchesFiltered;
         ++life.merged;
-        DPRINTF(Prefetch, "merge-at-enqueue line=%#llx src=%s id=%llu",
-                static_cast<unsigned long long>(line), toString(src),
-                static_cast<unsigned long long>(id));
         return;
     }
     if (prefetchQueue_.size() >= params_.prefetchQueueEntries) {
         const QueuedPrefetch &old = prefetchQueue_.front();
         ++stats_.prefetchesDropped;
         ++stats_.pfLife[static_cast<unsigned>(old.src)].dropped;
-        DPRINTF(Prefetch, "drop line=%#llx src=%s id=%llu (overflow)",
-                static_cast<unsigned long long>(old.line),
-                toString(old.src),
-                static_cast<unsigned long long>(old.id));
         queuedLines_.erase(old.line);
         prefetchQueue_.pop_front();
     }
-    DPRINTF(Prefetch, "enqueue line=%#llx src=%s id=%llu",
-            static_cast<unsigned long long>(line), toString(src),
-            static_cast<unsigned long long>(id));
     queuedLines_.insert(line);
     prefetchQueue_.push_back(
-        QueuedPrefetch{line, src, id, static_cast<std::uint8_t>(core)});
+        QueuedPrefetch{line, src, static_cast<std::uint8_t>(core)});
 }
 
 bool
@@ -841,9 +788,6 @@ Hierarchy::finalize()
         for (unsigned c = 0; c < stats_.perCore.size(); ++c)
             stats_.perCore[c].l2ResidentLines = owned[c];
     }
-
-    DPRINTF(Sim, "hierarchy finalized: %llu wrong prefetches",
-            static_cast<unsigned long long>(stats_.wrongPrefetches));
 }
 
 } // namespace cbws

@@ -64,8 +64,8 @@ constexpr unsigned LatenessBuckets = 24;
 
 /**
  * Lifecycle accounting for the prefetches of one source: every request
- * is tagged with an id at the prefetcher's issue and tracked until it
- * is conclusively resolved. Two conservation laws hold for any
+ * is tagged with its source at the prefetcher's issue and tracked
+ * until it is conclusively resolved. Two conservation laws hold for any
  * finalized run without a warmup window:
  *
  *   issued == dropped + merged + filled
@@ -244,7 +244,7 @@ struct HierarchyStats
     /**
      * Counters of the DRAM timing backend (mem/dram/backend.hh).
      * Kept live by the Hierarchy (mirrored from the backend on every
-     * stats read), so reports/snapshots/checkpoints see them like any
+     * stats read), so reports and checkpoints see them like any
      * other hierarchy counter.
      */
     DramStats dram;
@@ -487,7 +487,6 @@ class Hierarchy
     {
         LineAddr line = 0;
         PfSource src = PfSource::Unknown;
-        std::uint64_t id = 0;
         std::uint8_t core = 0;
     };
 
@@ -537,8 +536,6 @@ class Hierarchy
     mutable HierarchyStats stats_;
     /** Main-memory timing model (selected by params.dramBackend). */
     std::unique_ptr<DramBackend> dram_;
-    /** Id assigned to the next tracked prefetch request. */
-    std::uint64_t nextPfId_ = 1;
     /**
      * Cycle whose MSHR drains have already run. tick() is invoked
      * once per cycle by the driver and again by every demand access,

@@ -39,7 +39,6 @@ MshrFile::allocate(LineAddr line, Cycle ready_at, bool is_prefetch,
             e.isWrite = is_write;
             e.demanded = false;
             e.pfSource = PfSource::Unknown;
-            e.pfId = 0;
             e.firstDemandAt = 0;
             ++numValid_;
             if (ready_at < nextReady_)

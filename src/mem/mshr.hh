@@ -38,8 +38,6 @@ class MshrFile
                                  ///< entry while it was in flight
         /** Lifecycle attribution of prefetch-initiated fills. */
         PfSource pfSource = PfSource::Unknown;
-        /** Unique id assigned to the prefetch request (0 = none). */
-        std::uint64_t pfId = 0;
         /** Cycle the first demand merged in (lateness accounting). */
         Cycle firstDemandAt = 0;
         /** Requesting core (fill ownership; 0 in single-core). */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "base/debug.hh"
 #include "base/logging.hh"
 #include "base/metrics.hh"
 #include "prefetch/registry.hh"
@@ -35,10 +34,6 @@ SmsPrefetcher::SmsPrefetcher(const SmsParams &params)
 void
 SmsPrefetcher::endGeneration(const Generation &gen)
 {
-    DPRINTF(SMS, "generation end: pc=%#llx offset=%u pattern=%#llx",
-            static_cast<unsigned long long>(gen.triggerPc),
-            gen.triggerOffset,
-            static_cast<unsigned long long>(gen.pattern));
     phtInsert(phtKey(gen.triggerPc, gen.triggerOffset), gen.pattern);
 }
 
@@ -127,11 +122,6 @@ SmsPrefetcher::observeAccess(const PrefetchContext &ctx, PrefetchSink &sink)
     // New region: trigger access. Predict from the PHT, then start
     // tracking the new generation in the filter.
     if (const std::uint64_t pattern = phtLookup(phtKey(ctx.pc, offset))) {
-        DPRINTF(SMS, "trigger pc=%#llx region=%#llx: replaying "
-                "pattern=%#llx",
-                static_cast<unsigned long long>(ctx.pc),
-                static_cast<unsigned long long>(region),
-                static_cast<unsigned long long>(pattern));
         const Addr region_base = region * params_.regionBytes;
         for (unsigned l = 0; l < linesPerRegion_; ++l) {
             if (l == offset || !(pattern & (1ull << l)))

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <strings.h>
 
-#include "base/debug.hh"
 #include "base/decimal.hh"
 #include "base/faultinject.hh"
 #include "base/logging.hh"
@@ -108,17 +107,6 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
 
     ExperimentMatrix matrix;
     matrix.schemes = schemes;
-
-    unsigned jobs = options.jobs;
-    if (jobs > 1 && debug::state.anyEnabled) {
-        // The trace-flag facility is global (gem5-style, one traced
-        // run per process): parallel cells would interleave lines and
-        // race on the cycle gate. Tracing a matrix implies studying
-        // one run anyway, so degrade to serial rather than garble.
-        warn("runMatrix: debug trace flags are enabled; "
-             "forcing jobs=1 for coherent trace output");
-        jobs = 1;
-    }
 
     WorkloadParams params;
     params.maxInstructions = max_insts;
@@ -305,7 +293,7 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
         matrix.rows[w].byPrefetcher[k] = std::move(res);
         meter.advance(false);
     };
-    parallelFor(jobs, num_cells, cell);
+    parallelFor(options.jobs, num_cells, cell);
     meter.finish();
     matrix.peakLiveTraces = peak_live_traces.load();
     // Seal: every appended cell is already flushed line-by-line, the

@@ -5,7 +5,6 @@
 #include "base/logging.hh"
 #include "base/profiler.hh"
 #include "prefetch/addon.hh"
-#include "sim/snapshot.hh"
 
 namespace cbws
 {
@@ -50,42 +49,16 @@ cbwsComponent(Prefetcher *prefetcher)
     return nullptr;
 }
 
-/** Snapshot gauges over @p cbws's history table; none without CBWS. */
-SnapshotWriter::CbwsGauges
-cbwsGauges(const CbwsPrefetcher *cbws)
-{
-    SnapshotWriter::CbwsGauges gauges;
-    if (!cbws)
-        return gauges;
-    gauges.occupancy = [cbws] {
-        return static_cast<std::uint64_t>(cbws->table().occupancy());
-    };
-    gauges.capacity = [cbws] {
-        return static_cast<std::uint64_t>(cbws->table().capacity());
-    };
-    gauges.tableHits = [cbws] { return cbws->schemeStats().tableHits; };
-    gauges.tableMisses = [cbws] {
-        return cbws->schemeStats().tableMisses;
-    };
-    return gauges;
-}
-
 /**
- * Commit-hook class mask for the standard prefetcher-training hook:
- * it only acts on memory retires and block markers, so everything
- * else can skip the std::function dispatch. A snapshot probe samples
- * *every* commit, so its presence forces the full mask.
+ * Commit-hook class mask for the prefetcher-training hook: it only
+ * acts on memory retires and block markers, so everything else can
+ * skip the std::function dispatch.
  */
-std::uint32_t
-commitMaskFor(bool has_snapshot)
-{
-    if (has_snapshot)
-        return ~std::uint32_t(0);
-    return OooCore::classBit(InstClass::Load) |
-           OooCore::classBit(InstClass::Store) |
-           OooCore::classBit(InstClass::BlockBegin) |
-           OooCore::classBit(InstClass::BlockEnd);
-}
+constexpr std::uint32_t TrainingCommitMask =
+    OooCore::classBit(InstClass::Load) |
+    OooCore::classBit(InstClass::Store) |
+    OooCore::classBit(InstClass::BlockBegin) |
+    OooCore::classBit(InstClass::BlockEnd);
 
 PrefetchContext
 contextOf(const TraceRecord &rec, const AccessOutcome &out)
@@ -147,42 +120,30 @@ simulateMulti(const std::vector<const Trace *> &traces,
         sinks.push_back(std::make_unique<HierarchySink>(mem, c));
     }
 
-    // Observability probes attach to core 0's prefetcher (snapshots
-    // report whole-hierarchy counters either way).
+    // The differential probe attaches to core 0's prefetcher.
     CbwsPrefetcher *cbws0 = cbwsComponent(prefetchers[0].get());
     if (probes.differentials && cbws0)
         cbws0->setDifferentialProbe(probes.differentials);
-    if (probes.snapshot) {
-        probes.snapshot->setCores(n);
-        probes.snapshot->begin(prefetchers[0]->name(), mem);
-        probes.snapshot->setCbwsGauges(cbwsGauges(cbws0));
-    }
 
     // The shared hierarchy resets its statistics when the *last* core
     // crosses its warmup boundary (per-core windows are subtracted
     // individually by each core's finish()).
     unsigned warmups_pending = warmup_insts > 0 ? n : 0;
     std::vector<bool> warmup_crossed(n, false);
-    auto cross_warmup = [&](unsigned c, Cycle now) {
+    auto cross_warmup = [&](unsigned c, Cycle) {
         if (warmups_pending == 0 || warmup_crossed[c])
             return;
         warmup_crossed[c] = true;
-        if (--warmups_pending == 0) {
+        if (--warmups_pending == 0)
             mem.resetStats();
-            if (probes.snapshot)
-                probes.snapshot->onWarmupBoundary(now);
-        }
     };
 
     std::vector<CoreHooks> hooks(n);
     for (unsigned c = 0; c < n; ++c) {
         Prefetcher *pf = prefetchers[c].get();
         PrefetchSink *sink = sinks[c].get();
-        hooks[c].commit = [&probes, c, pf, sink](const TraceRecord &rec,
-                                                 const AccessOutcome &out,
-                                                 Cycle now) {
-            if (c == 0 && probes.snapshot)
-                probes.snapshot->onCommit(now);
+        hooks[c].commit = [pf, sink](const TraceRecord &rec,
+                                     const AccessOutcome &out, Cycle) {
             // The scope sits inside the dispatch so commits that never
             // reach the prefetcher (plain ALU/branch retires, i.e. most
             // of the stream) pay nothing while profiling.
@@ -226,8 +187,7 @@ simulateMulti(const std::vector<const Trace *> &traces,
         cores.push_back(std::make_unique<OooCore>(config.core, mem, c));
         order.push_back(cores[c].get());
         cores[c]->setTraceSink(probes.trace);
-        cores[c]->setCommitHookMask(
-            commitMaskFor(c == 0 && probes.snapshot != nullptr));
+        cores[c]->setCommitHookMask(TrainingCommitMask);
         cores[c]->begin(*traces[c], max_insts, hooks[c].commit,
                         hooks[c].access, warmup_insts, hooks[c].warmup);
     }
@@ -278,8 +238,6 @@ simulateMulti(const std::vector<const Trace *> &traces,
                        : "core" + std::to_string(c) + ".pf.scheme");
         }
     }
-    if (probes.snapshot)
-        probes.snapshot->finalize(result);
     return result;
 }
 

@@ -106,7 +106,6 @@ struct SimResult
 };
 
 class MetricsRegistry;
-class SnapshotWriter;
 class TraceSink;
 
 /** Optional instrumentation attached to a run. */
@@ -115,9 +114,6 @@ struct SimProbes
     /** Samples the identity of every 1-step CBWS differential
      *  (Fig. 5); only honoured by CBWS-based configurations. */
     FrequencyCounter *differentials = nullptr;
-
-    /** Periodic JSONL statistics snapshots (sim/snapshot.hh). */
-    SnapshotWriter *snapshot = nullptr;
 
     /** Timeline-event sink (e.g., the Chrome trace exporter);
      *  attached to the hierarchy and the core for the run. */

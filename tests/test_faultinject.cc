@@ -44,8 +44,8 @@ TEST_F(FaultInjectTest, DisarmedSiteNeverFires)
     auto &fi = FaultInjector::instance();
     EXPECT_FALSE(fi.anyArmed());
     for (int i = 0; i < 100; ++i)
-        EXPECT_FALSE(fi.shouldFire(FaultSite::SnapshotWrite));
-    EXPECT_EQ(fi.fired(FaultSite::SnapshotWrite), 0u);
+        EXPECT_FALSE(fi.shouldFire(FaultSite::CheckpointAppend));
+    EXPECT_EQ(fi.fired(FaultSite::CheckpointAppend), 0u);
 }
 
 TEST_F(FaultInjectTest, ArmAtFiresExactlyOnTheListedHits)
@@ -67,10 +67,10 @@ TEST_F(FaultInjectTest, RateScheduleIsDeterministicPerSeed)
 
     const auto schedule = [&](std::uint64_t seed) {
         fi.reset();
-        fi.arm(FaultSite::SnapshotWrite, 0.5, seed);
+        fi.arm(FaultSite::CheckpointAppend, 0.5, seed);
         std::vector<bool> fires;
         for (int i = 0; i < 200; ++i)
-            fires.push_back(fi.shouldFire(FaultSite::SnapshotWrite));
+            fires.push_back(fi.shouldFire(FaultSite::CheckpointAppend));
         return fires;
     };
 
@@ -112,10 +112,10 @@ TEST_F(FaultInjectTest, ConfigureFromEnvParsesRatesAndExactHits)
 
 TEST_F(FaultInjectTest, BareSiteNameMeansAlwaysFire)
 {
-    ::setenv("CBWS_FAULT", "snapshot-write", 1);
+    ::setenv("CBWS_FAULT", "checkpoint-append", 1);
     auto &fi = FaultInjector::instance();
     ASSERT_TRUE(fi.configureFromEnv());
-    EXPECT_TRUE(fi.shouldFire(FaultSite::SnapshotWrite));
+    EXPECT_TRUE(fi.shouldFire(FaultSite::CheckpointAppend));
 }
 
 TEST_F(FaultInjectTest, UnsetOrEmptyEnvDisablesEverything)

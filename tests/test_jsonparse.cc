@@ -121,7 +121,7 @@ TEST(JsonLimits, TruncatedDocumentsAreCleanErrors)
 TEST(JsonLimits, DefaultsStillReadProjectFormats)
 {
     // The default (trusted-file) limits must stay permissive enough
-    // for checkpoint/snapshot lines with many nested arrays.
+    // for checkpoint lines with many nested arrays.
     std::string doc = "{\"cells\":[";
     for (int i = 0; i < 100; ++i) {
         if (i)

@@ -5,12 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
+#include "base/metrics.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
-#include "sim/snapshot.hh"
 #include "workloads/registry.hh"
 
 namespace cbws
@@ -111,47 +108,39 @@ TEST(Simulate, WarmupReducesColdMisses)
     EXPECT_LT(warm.mpki(), cold.mpki());
 }
 
-TEST(Simulate, EveryCbwsSchemeEmitsSnapshotGauges)
+TEST(Simulate, EveryCbwsSchemeExposesItsHistoryTable)
 {
     // CBWS alone, fused with SMS, and bolted onto AMPM all expose the
-    // CBWS history table to snapshots and the differential probe.
+    // CBWS history table to the scheme metrics and the differential
+    // probe.
     auto w = findWorkload("sgemm-medium");
     WorkloadParams params;
     params.maxInstructions = 20000;
     Trace t;
     w->generate(t, params);
-    const std::string path =
-        testing::TempDir() + "cbws_snapshot_gauges.jsonl";
     for (const char *scheme : {"CBWS", "CBWS+SMS", "CBWS+AMPM"}) {
         FrequencyCounter differentials;
-        {
-            SnapshotWriter snapshot(path, 10000);
-            ASSERT_TRUE(snapshot.ok());
-            SystemConfig cfg;
-            cfg.scheme = scheme;
-            SimProbes probes;
-            probes.snapshot = &snapshot;
-            probes.differentials = &differentials;
-            simulate(t, cfg, params.maxInstructions, probes);
-        }
+        MetricsRegistry metrics;
+        SystemConfig cfg;
+        cfg.scheme = scheme;
+        SimProbes probes;
+        probes.differentials = &differentials;
+        probes.schemeMetrics = &metrics;
+        simulate(t, cfg, params.maxInstructions, probes);
         EXPECT_GT(differentials.total(), 0u) << scheme;
-        std::ifstream in(path);
-        std::string line;
-        unsigned records = 0;
-        while (std::getline(in, line)) {
-            if (line.find("\"type\":\"snapshot\"") == std::string::npos)
-                continue;
-            ++records;
-            for (const char *gauge :
-                 {"\"cbws_occupancy\":", "\"cbws_capacity\":",
-                  "\"cbws_table_hit_rate\":"}) {
-                EXPECT_NE(line.find(gauge), std::string::npos)
-                    << scheme << " lacks " << gauge;
-            }
-        }
-        EXPECT_GE(records, 1u) << scheme;
+        const auto *occupancy =
+            metrics.find("pf.scheme.cbws.tableOccupancy");
+        const auto *capacity =
+            metrics.find("pf.scheme.cbws.tableCapacity");
+        const auto *hit_rate = metrics.find("pf.scheme.cbws.tableHitRate");
+        ASSERT_NE(occupancy, nullptr) << scheme;
+        ASSERT_NE(capacity, nullptr) << scheme;
+        ASSERT_NE(hit_rate, nullptr) << scheme;
+        EXPECT_GT(capacity->uintValue, 0u) << scheme;
+        EXPECT_LE(occupancy->uintValue, capacity->uintValue) << scheme;
+        EXPECT_GE(hit_rate->realValue, 0.0) << scheme;
+        EXPECT_LE(hit_rate->realValue, 1.0) << scheme;
     }
-    std::remove(path.c_str());
 }
 
 TEST(Simulate, TraceEndingBeforeWarmupKeepsWholeRun)

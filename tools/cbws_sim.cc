@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "base/argparse.hh"
-#include "base/debug.hh"
 #include "base/faultinject.hh"
 #include "base/metrics.hh"
 #include "base/profiler.hh"
@@ -35,7 +34,6 @@
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/simmetrics.hh"
-#include "sim/snapshot.hh"
 #include "sim/statsdump.hh"
 #include "sim/tracefmt.hh"
 #include "trace/loop_annotator.hh"
@@ -271,20 +269,6 @@ main(int argc, char **argv)
                    "write the gem5-style statistics dump here "
                    "(implies --stats semantics for the file)",
                    "");
-    args.addOption("debug-flags",
-                   "comma-separated trace flags (e.g. Cache,CBWS; "
-                   "'help' lists them); printed to stderr",
-                   "");
-    args.addOption("debug-start",
-                   "first cycle at which debug flags print", "0");
-    args.addOption("debug-end",
-                   "first cycle at which debug printing stops", "");
-    args.addOption("snapshot-interval",
-                   "emit a JSONL stats snapshot every N committed "
-                   "instructions (0 = off)",
-                   "0");
-    args.addOption("snapshot-file",
-                   "snapshot destination ('-' = stdout)", "-");
     args.addOption("chrome-trace",
                    "write a Chrome trace-event JSON timeline here "
                    "(single-prefetcher runs only)",
@@ -393,26 +377,6 @@ main(int argc, char **argv)
     } else if (args.provided("core-workloads")) {
         std::fprintf(stderr, "--core-workloads needs --cores > 1\n");
         return 1;
-    }
-
-    if (args.provided("debug-flags")) {
-        const std::string csv = args.get("debug-flags");
-        if (csv == "help") {
-            std::printf("trace flags:");
-            for (const auto &name : debug::flagNames())
-                std::printf(" %s", name.c_str());
-            std::printf("\n");
-            return 0;
-        }
-        std::string err;
-        if (!debug::setFlags(csv, &err)) {
-            std::fprintf(stderr, "--debug-flags: %s\n", err.c_str());
-            return 1;
-        }
-        debug::setWindow(args.getUint("debug-start", 0),
-                         args.provided("debug-end")
-                             ? args.getUint("debug-end", 0)
-                             : ~Cycle(0));
     }
 
     // Obtain the trace(s): load, or synthesise from workloads.
@@ -558,6 +522,22 @@ main(int argc, char **argv)
         }
     }
 
+    std::unique_ptr<ChromeTraceWriter> chrome;
+    if (args.provided("chrome-trace")) {
+        if (schemes.size() > 1) {
+            std::fprintf(stderr, "--chrome-trace needs a single "
+                                 "prefetcher (not 'all')\n");
+            return 1;
+        }
+        chrome = std::make_unique<ChromeTraceWriter>(
+            args.get("chrome-trace"), args.getUint("trace-start", 0),
+            args.provided("trace-end") ? args.getUint("trace-end", 0)
+                                       : ~Cycle(0),
+            args.getUint("trace-max-events", 500000));
+        if (!chrome->ok())
+            return 1;
+    }
+
     const bool quiet = args.getFlag("json");
     if (!quiet) {
         if (num_cores > 1)
@@ -572,37 +552,6 @@ main(int argc, char **argv)
                         workload_name.c_str(), trace.size(),
                         static_cast<unsigned long long>(insts),
                         static_cast<unsigned long long>(warmup));
-    }
-
-    // Observability attachments shared by the runs.
-    std::unique_ptr<SnapshotWriter> snapshot;
-    const std::uint64_t snap_interval =
-        args.getUint("snapshot-interval", 0);
-    if (snap_interval > 0 || args.provided("snapshot-file")) {
-        snapshot = std::make_unique<SnapshotWriter>(
-            args.get("snapshot-file"), snap_interval);
-        if (!snapshot->ok())
-            return 1;
-        snapshot->setWorkload(workload_name);
-    }
-
-    std::unique_ptr<ChromeTraceWriter> chrome;
-    if (args.provided("chrome-trace")) {
-        if (schemes.size() > 1) {
-            std::fprintf(stderr,
-                         "--chrome-trace needs a single prefetcher "
-                         "(not 'all'); skipping timeline export\n");
-        } else {
-            chrome = std::make_unique<ChromeTraceWriter>(
-                args.get("chrome-trace"),
-                args.getUint("trace-start", 0),
-                args.provided("trace-end")
-                    ? args.getUint("trace-end", 0)
-                    : ~Cycle(0),
-                args.getUint("trace-max-events", 500000));
-            if (!chrome->ok())
-                return 1;
-        }
     }
 
     std::ofstream stats_file;
@@ -626,7 +575,6 @@ main(int argc, char **argv)
         config.pfOpts = pf_opts;
         MetricsRegistry scheme_metrics;
         SimProbes probes;
-        probes.snapshot = snapshot.get();
         probes.trace = chrome.get();
         if (args.getFlag("metrics"))
             probes.schemeMetrics = &scheme_metrics;
