@@ -22,11 +22,8 @@ namespace
 unsigned g_jobs = 0;           // 0 = no --jobs: runMatrix runs serially
 TraceCache g_trace_cache;      // disabled unless --trace-cache
 std::string g_checkpoint;      // empty = checkpointing off
-MatrixShard g_shard;           // --shard; {0, 1} = the whole matrix
-std::vector<std::string> g_merge; // --merge shard checkpoints
 std::string g_dram = "fixed";  // DRAM timing backend
 std::vector<std::string> g_pf_opts; // --pf-opt key=value overrides
-bool g_progress = false;       // live stderr progress line
 std::string g_profile_json = "BENCH_profile.json";
 
 /**
@@ -50,18 +47,10 @@ writeProfileAtExit()
     }
 }
 
-/** Exit with a one-line usage error, as ArgParser does. */
-[[noreturn]] void
-usageError(const std::string &message)
-{
-    std::fprintf(stderr, "%s\n", message.c_str());
-    std::exit(1);
-}
-
 } // anonymous namespace
 
 void
-init(int argc, char **argv, bool single_matrix)
+init(int argc, char **argv)
 {
     ArgParser parser(argv && argc > 0 ? argv[0] : "bench",
                      "Figure-regenerating bench (CBWS reproduction)");
@@ -76,13 +65,6 @@ init(int argc, char **argv, bool single_matrix)
                      "crash-safe checkpoint file: finished matrix "
                      "cells are appended there and a restarted run "
                      "resumes instead of recomputing them");
-    parser.addOption("shard",
-                     "i/N: simulate only the cells c with c % N == i "
-                     "into --checkpoint, seal it and exit 0 without "
-                     "a report (merge the N shards with --merge)");
-    parser.addOption("merge",
-                     "comma-separated shard checkpoints: print the "
-                     "report from their cells without simulating");
     parser.addOption("dram",
                      "DRAM timing backend: 'fixed' (paper's flat "
                      "latency, default) or 'ddr' (cycle-level banked "
@@ -98,9 +80,6 @@ init(int argc, char **argv, bool single_matrix)
     parser.addOption("profile-json",
                      "profile artifact destination (implies "
                      "--profile; default BENCH_profile.json)");
-    parser.addFlag("progress",
-                   "live matrix progress line on stderr; stdout is "
-                   "unchanged");
     if (!parser.parse(argc, argv))
         std::exit(1);
     if (parser.helpRequested())
@@ -130,45 +109,8 @@ init(int argc, char **argv, bool single_matrix)
                             ? TraceCache()
                             : TraceCache(dir);
     }
-    if (parser.provided("checkpoint")) {
+    if (parser.provided("checkpoint"))
         g_checkpoint = parser.get("checkpoint");
-        // Checkpointed benches drain gracefully on SIGINT/SIGTERM:
-        // in-flight cells finish, the checkpoint is sealed, and the
-        // process exits 130 — so an interrupted sweep never loses
-        // completed cells (SIGKILL-resume is the tested hard case).
-        installMatrixSignalHandlers();
-    }
-    const bool shard = parser.provided("shard");
-    const bool merge = parser.provided("merge");
-    if ((shard || merge) && !single_matrix)
-        usageError("--shard/--merge: this bench does not run exactly "
-                   "one matrix, so it cannot be split or merged");
-    if (shard) {
-        Result<MatrixShard> parsed = parseMatrixShard(parser.get("shard"));
-        if (!parsed.ok())
-            usageError("--shard: " + parsed.error().message);
-        if (g_checkpoint.empty())
-            usageError("--shard requires --checkpoint to hold the "
-                       "shard's cells");
-        g_shard = parsed.value();
-    }
-    if (merge) {
-        if (shard || !g_checkpoint.empty())
-            usageError("--merge cannot be combined with --shard or "
-                       "--checkpoint");
-        const std::string list = parser.get("merge");
-        std::size_t pos = 0;
-        while (pos <= list.size()) {
-            std::size_t comma = list.find(',', pos);
-            if (comma == std::string::npos)
-                comma = list.size();
-            if (comma == pos)
-                usageError("--merge: empty checkpoint path in '" +
-                           list + "'");
-            g_merge.push_back(list.substr(pos, comma - pos));
-            pos = comma + 1;
-        }
-    }
     if (parser.provided("dram")) {
         g_dram = parser.get("dram");
         if (!dramBackendRegistry().contains(g_dram)) {
@@ -180,7 +122,6 @@ init(int argc, char **argv, bool single_matrix)
         }
     }
     g_pf_opts = parser.getAll("pf-opt");
-    g_progress = parser.getFlag("progress");
     if (parser.provided("profile-json"))
         g_profile_json = parser.get("profile-json");
     if (parser.getFlag("profile") || parser.provided("profile-json"))
@@ -197,9 +138,6 @@ matrixOptions()
     if (g_trace_cache.enabled())
         options.traceCache = &g_trace_cache;
     options.checkpointPath = g_checkpoint;
-    options.shard = g_shard;
-    options.mergePaths = g_merge;
-    options.progress = g_progress;
     return options;
 }
 
@@ -207,8 +145,6 @@ void
 banner(const std::string &title, const std::string &paper_ref,
        std::uint64_t insts)
 {
-    if (g_shard.count > 1)
-        return; // a shard run prints nothing; its merge has the report
     std::printf("==============================================="
                 "=============================\n");
     std::printf("%s\n", title.c_str());

@@ -24,10 +24,6 @@ namespace bench
  *                     disables)
  *   --checkpoint=FILE crash-safe checkpoint: finished cells are
  *                     appended; a restarted run resumes from them
- *   --shard=i/N       simulate only cells c with c % N == i into
- *                     --checkpoint, seal it and exit 0 (no report)
- *   --merge=A,B,...   print the report from finished shard
- *                     checkpoints without simulating
  *   --dram=NAME       DRAM timing backend (fixed | ddr)
  *   --pf-opt k=v      scheme parameter override, repeatable; keys are
  *                     validated against the bench's scheme selection
@@ -36,8 +32,6 @@ namespace bench
  *                     on stderr at exit plus a BENCH_profile.json
  *                     artifact
  *   --profile-json=F  profile artifact destination (implies --profile)
- *   --progress        live matrix progress line on stderr; stdout
- *                     is unchanged
  *   --help            print usage and exit
  *
  * init() also arms the deterministic fault-injection harness from the
@@ -45,11 +39,9 @@ namespace bench
  *
  * Call at the top of main(); exits on bad arguments or --help. Any
  * jobs value produces byte-identical report output — parallelism
- * only changes wall-clock time. A bench that does not run exactly one
- * matrix passes @p single_matrix = false, which rejects --shard and
- * --merge instead of silently splitting only its first matrix.
+ * only changes wall-clock time.
  */
-void init(int argc, char **argv, bool single_matrix = true);
+void init(int argc, char **argv);
 
 /** The runMatrix options resolved by init() (or the defaults). */
 MatrixOptions matrixOptions();
@@ -61,8 +53,7 @@ SystemConfig systemConfig();
 /** The `--pf-opt key=value` strings collected by init(). */
 const std::vector<std::string> &pfOpts();
 
-/** Print the standard bench banner with the paper reference (not in
- *  a --shard run, whose stdout stays empty). */
+/** Print the standard bench banner with the paper reference. */
 void banner(const std::string &title, const std::string &paper_ref,
             std::uint64_t insts);
 

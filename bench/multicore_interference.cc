@@ -43,7 +43,7 @@ throughputIpc(const SimResult &r)
 int
 main(int argc, char **argv)
 {
-    bench::init(argc, argv, /*single_matrix=*/false);
+    bench::init(argc, argv);
     const std::uint64_t insts = benchInstructionBudget(40000);
     bench::banner("Extension - multi-core shared-L2 prefetcher "
                   "interference",

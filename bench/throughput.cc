@@ -13,7 +13,8 @@
  * The serial leg always runs with jobs=1; the parallel leg uses
  * --jobs, falling back to the hardware thread count. When
  * a trace cache is configured it is primed before timing starts, so
- * neither leg pays synthesis costs the other does not.
+ * neither leg pays synthesis costs the other does not. --checkpoint is
+ * refused: later legs would restore the cells instead of simulating.
  */
 
 #include <chrono>
@@ -85,13 +86,23 @@ identicalResults(const ExperimentMatrix &a, const ExperimentMatrix &b)
 int
 main(int argc, char **argv)
 {
-    bench::init(argc, argv, /*single_matrix=*/false);
+    bench::init(argc, argv);
+    MatrixOptions opts = bench::matrixOptions();
+    // Each leg must simulate every cell: with a checkpoint the later
+    // legs would restore the first leg's cells and time a file read.
+    if (!opts.checkpointPath.empty()) {
+        std::fprintf(stderr,
+                     "--checkpoint: throughput times the simulation of "
+                     "every cell, but the later legs would restore the "
+                     "first leg's cells from the checkpoint and report "
+                     "a false speedup\n");
+        return 1;
+    }
 
     const std::uint64_t insts = benchInstructionBudget(60000);
     bench::banner("Simulator throughput (wall-clock, full matrix)",
                   "the methodology (Sec. 5)", insts);
 
-    MatrixOptions opts = bench::matrixOptions();
     const unsigned parallel_jobs =
         opts.jobs ? opts.jobs : ThreadPool::hardwareJobs();
 

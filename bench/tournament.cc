@@ -23,7 +23,7 @@ using namespace cbws;
 int
 main(int argc, char **argv)
 {
-    bench::init(argc, argv, /*single_matrix=*/false);
+    bench::init(argc, argv);
     const std::uint64_t insts = benchInstructionBudget(60000);
     bench::banner("Prefetcher tournament - the zoo ranked by geomean "
                   "speedup over No-Prefetch",

@@ -46,8 +46,6 @@ toString(FaultSite site)
         return "trace-cache-corrupt";
       case FaultSite::CheckpointAppend:
         return "checkpoint-append";
-      case FaultSite::CellKill:
-        return "cell-kill";
       default:
         return "?";
     }

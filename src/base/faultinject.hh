@@ -5,10 +5,9 @@
  * Robustness code is only as good as its failure paths, and failure
  * paths are exactly the code that never runs. This harness plants
  * named fault *sites* at the simulator's I/O seams — trace-cache
- * reads/writes, checkpoint appends, the matrix runner's per-cell
- * kill — and fires manufactured failures at them on a
- * deterministic schedule, so every degradation path (fall back to
- * re-synthesis, warn-and-continue, resume after SIGKILL) can be
+ * reads/writes and checkpoint appends — and fires manufactured
+ * failures at them on a deterministic schedule, so every degradation
+ * path (fall back to re-synthesis, warn-and-continue) can be
  * exercised in tests and CI with a fixed seed.
  *
  * Determinism: each site keeps an atomic hit counter, and whether hit
@@ -47,7 +46,6 @@ enum class FaultSite : unsigned
     TraceCacheStore,   ///< failure writing a trace-cache file
     TraceCacheCorrupt, ///< corrupt a trace-cache file after publish
     CheckpointAppend,  ///< failure appending a checkpoint record
-    CellKill,          ///< runMatrix SIGKILLs itself after a cell
     NumSites,
 };
 

@@ -344,42 +344,6 @@ matrixCheckpointHeader(const std::vector<std::string> &workloads,
     return header;
 }
 
-Result<std::vector<SimResult>>
-mergeCheckpoints(const std::vector<std::string> &paths,
-                 const Checkpoint::Header &header,
-                 const std::vector<std::string> &workloads,
-                 const std::vector<std::string> &schemes)
-{
-    std::vector<Checkpoint> shards(paths.size());
-    for (std::size_t s = 0; s < paths.size(); ++s) {
-        Result<void> loaded = shards[s].load(paths[s], header);
-        if (!loaded.ok())
-            return loaded.error();
-    }
-    // Cells are looked up by name, not by shard index, so the merge
-    // does not care how the cells were split or in what order the
-    // shard files are listed.
-    std::vector<SimResult> cells;
-    cells.reserve(workloads.size() * schemes.size());
-    for (const auto &workload : workloads) {
-        for (const auto &scheme : schemes) {
-            const SimResult *found = nullptr;
-            for (const auto &shard : shards)
-                if ((found = shard.find(workload, scheme)))
-                    break;
-            if (!found)
-                return Error(Errc::Corrupt,
-                             "cell (" + workload + ", " + scheme +
-                                 ") is in none of the " +
-                                 std::to_string(paths.size()) +
-                                 " merged checkpoint(s); finish its "
-                                 "shard first");
-            cells.push_back(*found);
-        }
-    }
-    return cells;
-}
-
 Checkpoint::~Checkpoint()
 {
     if (file_)
@@ -387,11 +351,15 @@ Checkpoint::~Checkpoint()
 }
 
 Result<void>
-Checkpoint::readCells(const std::string &path, const Header &header,
-                      bool &existing)
+Checkpoint::open(const std::string &path, const Header &header)
 {
+    PROF_SCOPE(prof::Phase::CheckpointIO);
+    std::lock_guard<std::mutex> lock(mutex_);
+    panic_if(file_, "Checkpoint::open() called twice");
+
+    // Load a previous run's lines, if any.
     const std::string expected_header = headerLine(header);
-    existing = false;
+    bool existing = false;
     std::ifstream in(path);
     std::string line;
     std::size_t lineno = 0;
@@ -452,21 +420,6 @@ Checkpoint::readCells(const std::string &path, const Header &header,
         cells_.emplace(std::move(key), std::move(r));
     }
     resumed_ = cells_.size();
-    return Result<void>();
-}
-
-Result<void>
-Checkpoint::open(const std::string &path, const Header &header)
-{
-    PROF_SCOPE(prof::Phase::CheckpointIO);
-    std::lock_guard<std::mutex> lock(mutex_);
-    panic_if(file_, "Checkpoint::open() called twice");
-
-    // Load a previous run's lines, if any.
-    bool existing = false;
-    Result<void> read = readCells(path, header, existing);
-    if (!read.ok())
-        return read;
 
     file_ = std::fopen(path.c_str(), existing ? "ab" : "wb");
     if (!file_)
@@ -477,10 +430,10 @@ Checkpoint::open(const std::string &path, const Header &header)
         // Header then provenance, both written raw: routing the
         // provenance through append() would advance fault-injection
         // site counts and shift deterministic injection schedules.
-        const std::string line =
-            headerLine(header) + "\n" + provenanceLine() + "\n";
-        if (std::fwrite(line.data(), 1, line.size(), file_) !=
-                line.size() ||
+        const std::string preamble =
+            expected_header + "\n" + provenanceLine() + "\n";
+        if (std::fwrite(preamble.data(), 1, preamble.size(), file_) !=
+                preamble.size() ||
             std::fflush(file_) != 0) {
             std::fclose(file_);
             file_ = nullptr;
@@ -490,31 +443,6 @@ Checkpoint::open(const std::string &path, const Header &header)
         }
     }
     return Result<void>();
-}
-
-Result<void>
-Checkpoint::load(const std::string &path, const Header &header)
-{
-    PROF_SCOPE(prof::Phase::CheckpointIO);
-    std::lock_guard<std::mutex> lock(mutex_);
-    panic_if(file_, "Checkpoint::load() on an open checkpoint");
-    if (!std::ifstream(path))
-        return Error(Errc::NotFound, path + ": no such checkpoint");
-    bool existing = false;
-    Result<void> read = readCells(path, header, existing);
-    if (!read.ok())
-        return read;
-    if (!existing)
-        return Error(Errc::Corrupt,
-                     path + ": empty checkpoint (no header)");
-    return Result<void>();
-}
-
-std::size_t
-Checkpoint::cellCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cells_.size();
 }
 
 Result<void>

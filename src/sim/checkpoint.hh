@@ -13,16 +13,13 @@
  *
  * Robustness properties:
  *  - Appends are atomic at line granularity and flushed eagerly, so a
- *    SIGKILL can lose at most the cell in flight.
+ *    SIGKILL (or SIGINT) loses at most the cells in flight.
  *  - Every line carries an FNV-1a checksum of its own text; a torn or
  *    corrupted tail line is dropped with a warning, not an error.
  *  - The header records a fingerprint of the experiment; resuming
  *    against a checkpoint from a different experiment or an
  *    incompatible schema_version fails with a clear error instead of
  *    silently mixing results.
- *  - A matrix split across processes (MatrixOptions::shard) leaves one
- *    ordinary checkpoint per shard; mergeCheckpoints() reads them back
- *    into the whole matrix, byte-identical to a serial run.
  *
  * Format details are documented in docs/FORMATS.md.
  */
@@ -91,14 +88,6 @@ class Checkpoint
      */
     Result<void> open(const std::string &path, const Header &header);
 
-    /**
-     * Read @p path for @p header's experiment without opening it for
-     * appends: the same header check and cell loading as open(), but
-     * a missing file is NotFound and nothing is ever created or
-     * written. append() on a loaded checkpoint fails.
-     */
-    Result<void> load(const std::string &path, const Header &header);
-
     /** Result recorded for (workload, prefetcher), else nullptr. */
     const SimResult *find(const std::string &workload,
                           const std::string &prefetcher) const;
@@ -114,14 +103,10 @@ class Checkpoint
     /** Cells loaded from a previous run at open() time. */
     std::size_t resumedCells() const { return resumed_; }
 
-    /** Cells currently recorded (resumed + appended this run). */
-    std::size_t cellCount() const;
-
     /**
      * Seal the file against the process dying next instruction:
      * flush libc buffers and fsync the fd, so every appended cell is
-     * durable on disk. Called on graceful interrupt (SIGINT/SIGTERM)
-     * before exit, and at the end of a completed matrix.
+     * durable on disk. Called at the end of a completed matrix.
      */
     Result<void> sync();
 
@@ -129,11 +114,6 @@ class Checkpoint
 
   private:
     using CellKey = std::pair<std::string, std::string>;
-
-    /** Check @p path's header against @p header and load its intact
-     *  cells; @p existing reports whether the file held any line. */
-    Result<void> readCells(const std::string &path, const Header &header,
-                           bool &existing);
 
     mutable std::mutex mutex_;
     std::FILE *file_ = nullptr;
@@ -155,28 +135,14 @@ checkpointFingerprint(const std::vector<std::string> &workloads,
  * The header binding a runMatrix checkpoint to its experiment: the
  * budget, the seed, and a fingerprint over the workload and scheme
  * names plus every @p config knob that changes a cell's counters —
- * the DRAM backend, the core count and the pf-opts. Resume, shard and
- * merge all build their header here, so differently configured runs
- * can never cross-resume or cross-merge.
+ * the DRAM backend, the core count and the pf-opts (in any order), so
+ * differently configured runs can never cross-resume.
  */
 Checkpoint::Header
 matrixCheckpointHeader(const std::vector<std::string> &workloads,
                        const std::vector<std::string> &schemes,
                        const SystemConfig &config, std::uint64_t insts,
                        std::uint64_t seed);
-
-/**
- * Rebuild a matrix from the checkpoints in @p paths (the shards of one
- * split run, in any order), each loaded read-only under @p header.
- * Returns the workloads x schemes cells row-major. A missing file is
- * NotFound, a checkpoint of another experiment is rejected as by
- * open(), and a cell found in none of them is an error naming it.
- */
-Result<std::vector<SimResult>>
-mergeCheckpoints(const std::vector<std::string> &paths,
-                 const Checkpoint::Header &header,
-                 const std::vector<std::string> &workloads,
-                 const std::vector<std::string> &schemes);
 
 } // namespace cbws
 

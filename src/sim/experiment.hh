@@ -72,18 +72,6 @@ struct ExperimentMatrix
     }
 };
 
-/** One process's share of a matrix split across processes: cell c
- *  (row-major) belongs to shard c % count. */
-struct MatrixShard
-{
-    unsigned index = 0;
-    unsigned count = 1;
-};
-
-/** Parse "i/N" with 0 <= i < N (the --shard syntax); InvalidArgument
- *  on anything else. */
-Result<MatrixShard> parseMatrixShard(const std::string &text);
-
 /** Execution knobs of runMatrix (parallelism, trace reuse). */
 struct MatrixOptions
 {
@@ -106,59 +94,14 @@ struct MatrixOptions
      * (or schema version) is a fatal error.
      */
     std::string checkpointPath;
-
-    /**
-     * Emit a live progress line on stderr (cells done/total,
-     * cells/sec, ETA, checkpoint restores) while the cells run.
-     * Never touches stdout, so reports stay byte-identical.
-     */
-    bool progress = false;
-
-    /**
-     * Simulate only this shard's cells. Above one shard runMatrix
-     * requires a checkpointPath: it resumes and fills that shard's
-     * checkpoint, seals it and exits the process with status 0
-     * without returning — a partial matrix is never handed to a
-     * report. {0, 1}, the default, is the whole matrix.
-     */
-    MatrixShard shard;
-
-    /**
-     * When non-empty, build the matrix from these shard checkpoints
-     * instead of simulating (see mergeCheckpoints): no trace is
-     * synthesised and no cell re-simulated. A checkpoint of a
-     * different experiment, or a cell found in none of them, is a
-     * fatal error. Excludes shard and checkpointPath.
-     */
-    std::vector<std::string> mergePaths;
 };
-
-/**
- * Install SIGINT/SIGTERM handlers that request a graceful matrix
- * interrupt: the running runMatrix stops launching new cells,
- * finishes (and checkpoints) the in-flight ones, seals the checkpoint
- * file, and then exits the process with status 130 — an interrupted
- * bench must not print a half-empty figure and exit 0. Without a
- * checkpoint the signals still stop the matrix early — there is just
- * nothing to seal. Idempotent; a second signal falls back to the
- * default disposition (immediate kill) so a wedged run can always be
- * terminated.
- */
-void installMatrixSignalHandlers();
-
-/** Request a graceful interrupt programmatically (what the signal
- *  handler does); visible to the next cell-boundary check. */
-void requestMatrixInterrupt();
-
-/** True once an interrupt has been requested and not cleared. */
-bool matrixInterruptRequested();
-
-/** Re-arm for another matrix (tests). */
-void clearMatrixInterrupt();
 
 /**
  * Run the matrix: @p workloads x @p schemes (registry names).
  * @param max_insts per-run committed-instruction budget.
+ *
+ * Every cell runs in this process (restored from the checkpoint or
+ * simulated), and the whole matrix is returned; errors are fatal().
  *
  * Scheme names and base_config.pfOpts are validated against the
  * registry before any simulation starts (fatal on unknown schemes,

@@ -5,24 +5,21 @@
  * trusted, never fatal), mismatched experiments and schema versions
  * must be rejected at open(), and a matrix resumed from a partial
  * checkpoint must be bit-identical to an uninterrupted run at any
- * job count. A matrix split into shards (each run exits in a
- * death-test child) must merge back byte-identical to a serial run.
+ * job count.
  */
 
 #include <gtest/gtest.h>
 
-#include <csignal>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <unistd.h>
 #include <string>
 #include <vector>
 
 #include "base/faultinject.hh"
 #include "sim/checkpoint.hh"
 #include "sim/experiment.hh"
-#include "test_util.hh"
 #include "workloads/registry.hh"
 
 namespace cbws
@@ -523,9 +520,15 @@ TEST_F(CheckpointResumeTest, PartialCheckpointResumesBitIdentically)
             const ExperimentMatrix resumed = run(jobs, path_);
             EXPECT_TRUE(matricesIdentical(reference, resumed))
                 << "jobs=" << jobs;
-            EXPECT_EQ(readLines().size(), 2u + 6u)
+            // The restored lines stay as written; only the missing
+            // cells are appended after them.
+            const auto completed = readLines();
+            ASSERT_EQ(completed.size(), 2u + 6u)
                 << "resume must complete the file (jobs=" << jobs
                 << ")";
+            EXPECT_TRUE(std::equal(lines.begin(), lines.end(),
+                                   completed.begin()))
+                << "jobs=" << jobs;
         }
     }
 }
@@ -542,196 +545,16 @@ TEST_F(CheckpointResumeTest, CompletedCheckpointSkipsAllSimulation)
     EXPECT_EQ(readLines(), lines) << "no rewrites on a no-op resume";
 }
 
-/** A 2x2 matrix split into shard checkpoints under the temp dir. */
-class ShardMergeTest : public CheckpointFileTest
+TEST_F(CheckpointResumeTest, CheckpointOfAnotherConfigIsRejected)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        CheckpointFileTest::SetUp();
-        for (const char *name : {"fft-simlarge", "stencil-default"}) {
-            auto w = findWorkload(name);
-            ASSERT_NE(w, nullptr) << name;
-            workloads_.push_back(std::move(w));
-        }
-    }
-
-    std::string
-    shardPath(unsigned index, unsigned count) const
-    {
-        return dir_ + "/s" + std::to_string(index) + "of" +
-               std::to_string(count) + ".ckpt";
-    }
-
-    ExperimentMatrix
-    run(MatrixOptions options,
-        const SystemConfig &config = SystemConfig()) const
-    {
-        return runMatrix(workloads_, schemes_, config, insts_, 42,
-                         options);
-    }
-
-    /** Run shard @p index of @p count to completion in a child. */
-    void
-    runShard(unsigned index, unsigned count, unsigned jobs = 1) const
-    {
-        MatrixOptions options;
-        options.jobs = jobs;
-        options.checkpointPath = shardPath(index, count);
-        options.shard = {index, count};
-        EXPECT_EXIT(run(options), testing::ExitedWithCode(0),
-                    "shard .* complete")
-            << "shard " << index << "/" << count;
-    }
-
-    Checkpoint::Header
-    header(const SystemConfig &config = SystemConfig()) const
-    {
-        return matrixCheckpointHeader({"fft-simlarge", "stencil-default"},
-                                      schemes_, config, insts_, 42);
-    }
-
-    std::string
-    serialJson(unsigned jobs) const
-    {
-        MatrixOptions options;
-        options.jobs = jobs;
-        return test::matrixJson(run(options));
-    }
-
-    std::vector<WorkloadPtr> workloads_;
-    const std::vector<std::string> schemes_ = {"No-Prefetch", "Stride"};
-    static constexpr std::uint64_t insts_ = 8000;
-};
-
-TEST_F(ShardMergeTest, SingleShardEqualsSerial)
-{
-    // One shard is the whole matrix: an ordinary checkpointed run that
-    // returns its report, and whose checkpoint merges like any shard.
-    const std::string serial = serialJson(1);
-    MatrixOptions options;
-    options.jobs = 1;
-    options.checkpointPath = shardPath(0, 1);
-    EXPECT_EQ(test::matrixJson(run(options)), serial);
-
-    MatrixOptions merge;
-    merge.mergePaths = {shardPath(0, 1)};
-    EXPECT_EQ(test::matrixJson(run(merge)), serial);
-}
-
-TEST_F(ShardMergeTest, ShardedRunsMergeByteIdenticalToSerial)
-{
-    const std::string serial = serialJson(1);
-    ASSERT_EQ(serialJson(4), serial);
-
-    // Three shards over four cells is the uneven split (2 + 1 + 1).
-    for (unsigned count : {2u, 3u}) {
-        std::vector<std::string> paths;
-        for (unsigned i = 0; i < count; ++i) {
-            runShard(i, count, /*jobs=*/count - 1);
-            paths.insert(paths.begin(), shardPath(i, count));
-        }
-        // The merge reads cells only: a cache it never touches proves
-        // that no trace was synthesised (or even looked up).
-        TraceCache cache(dir_ + "/traces");
-        MatrixOptions merge;
-        merge.traceCache = &cache;
-        merge.mergePaths = paths; // listed in reverse: order is free
-        EXPECT_EQ(test::matrixJson(run(merge)), serial)
-            << count << " shards";
-        EXPECT_EQ(cache.hits() + cache.misses(), 0u);
-    }
-}
-
-TEST_F(ShardMergeTest, RerunningAFinishedShardResimulatesNothing)
-{
-    runShard(0, 2);
-    path_ = shardPath(0, 2);
-    const auto lines = readLines();
-    // Armed in the child, cell-kill would SIGKILL it on the first
-    // simulated cell: a clean exit proves every cell was restored.
-    MatrixOptions options;
-    options.jobs = 1;
-    options.checkpointPath = path_;
-    options.shard = {0, 2};
-    EXPECT_EXIT(
-        {
-            FaultInjector::instance().armAt(FaultSite::CellKill, {1});
-            run(options);
-        },
-        testing::ExitedWithCode(0), "");
-    EXPECT_EQ(readLines(), lines);
-    Checkpoint ckpt;
-    ASSERT_TRUE(ckpt.load(path_, header()).ok());
-    EXPECT_EQ(ckpt.resumedCells(), 2u);
-}
-
-TEST_F(ShardMergeTest, CellKilledShardResumesAndMerges)
-{
-    // cell-kill@1 SIGKILLs the shard right after its first cell is
-    // durable; the restarted shard finishes the rest.
-    MatrixOptions options;
-    options.jobs = 1;
-    options.checkpointPath = shardPath(0, 2);
-    options.shard = {0, 2};
-    EXPECT_EXIT(
-        {
-            FaultInjector::instance().armAt(FaultSite::CellKill, {1});
-            run(options);
-        },
-        testing::KilledBySignal(SIGKILL), "");
-    {
-        Checkpoint ckpt;
-        ASSERT_TRUE(ckpt.load(shardPath(0, 2), header()).ok());
-        EXPECT_EQ(ckpt.resumedCells(), 1u);
-    }
-    runShard(0, 2);
-    runShard(1, 2);
-    MatrixOptions merge;
-    merge.mergePaths = {shardPath(0, 2), shardPath(1, 2)};
-    EXPECT_EQ(test::matrixJson(run(merge)), serialJson(1));
-}
-
-TEST_F(ShardMergeTest, MissingShardFileIsNotFoundAndNotCreated)
-{
-    runShard(0, 2);
-    const std::string absent = shardPath(1, 2);
-    Result<std::vector<SimResult>> merged = mergeCheckpoints(
-        {shardPath(0, 2), absent}, header(),
-        {"fft-simlarge", "stencil-default"}, schemes_);
-    ASSERT_FALSE(merged.ok());
-    EXPECT_EQ(merged.code(), Errc::NotFound);
-    EXPECT_NE(::access(absent.c_str(), F_OK), 0)
-        << "a merge must never create a checkpoint";
-
-    MatrixOptions merge;
-    merge.mergePaths = {shardPath(0, 2), absent};
-    EXPECT_EXIT(run(merge), testing::ExitedWithCode(1),
-                "no such checkpoint");
-}
-
-TEST_F(ShardMergeTest, MissingCellIsNamed)
-{
-    // Only shard 0 of 2: cells 1 and 3 (the Stride column) are in no
-    // merged checkpoint, and the first one must be named.
-    runShard(0, 2);
-    Result<std::vector<SimResult>> merged = mergeCheckpoints(
-        {shardPath(0, 2)}, header(),
-        {"fft-simlarge", "stencil-default"}, schemes_);
-    ASSERT_FALSE(merged.ok());
-    EXPECT_NE(merged.error().message.find("(fft-simlarge, Stride)"),
-              std::string::npos)
-        << merged.error().message;
-
-    MatrixOptions merge;
-    merge.mergePaths = {shardPath(0, 2)};
-    EXPECT_EXIT(run(merge), testing::ExitedWithCode(1),
-                "fft-simlarge, Stride");
-}
-
-TEST_F(ShardMergeTest, ShardOfAnotherConfigIsRejected)
-{
+    // The header's config tag covers the DRAM backend, the core count
+    // and the pf-opts: a checkpoint written under any other value of
+    // them must not resume this experiment.
+    const std::vector<std::string> names = {"fft-simlarge",
+                                            "stencil-default"};
+    auto header_for = [&](const SystemConfig &config) {
+        return matrixCheckpointHeader(names, kinds_, config, insts_, 42);
+    };
     SystemConfig ddr;
     ddr.mem.dramBackend = "ddr";
     SystemConfig cores;
@@ -740,18 +563,16 @@ TEST_F(ShardMergeTest, ShardOfAnotherConfigIsRejected)
     opts.pfOpts = {"degree=4"};
     for (const SystemConfig &other : {ddr, cores, opts}) {
         {
-            // A shard file is its header plus cells; the header alone
-            // decides whether it may be merged.
             Checkpoint written;
-            ASSERT_TRUE(written.open(path_, header(other)).ok());
+            ASSERT_TRUE(written.open(path_, header_for(other)).ok());
         }
-        Result<std::vector<SimResult>> merged = mergeCheckpoints(
-            {path_}, header(), {"fft-simlarge", "stencil-default"},
-            schemes_);
-        ASSERT_FALSE(merged.ok());
-        EXPECT_EQ(merged.code(), Errc::InvalidArgument);
-        EXPECT_NE(merged.error().message.find("different experiment"),
-                  std::string::npos);
+        Checkpoint resumed;
+        Result<void> r = resumed.open(path_, header_for(SystemConfig()));
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.code(), Errc::InvalidArgument);
+        EXPECT_NE(r.error().message.find("different experiment"),
+                  std::string::npos)
+            << r.error().message;
         std::remove(path_.c_str());
     }
 
@@ -759,33 +580,7 @@ TEST_F(ShardMergeTest, ShardOfAnotherConfigIsRejected)
     SystemConfig ab, ba;
     ab.pfOpts = {"degree=4", "cbws.table-entries=32"};
     ba.pfOpts = {"cbws.table-entries=32", "degree=4"};
-    EXPECT_EQ(header(ab).fingerprint, header(ba).fingerprint);
-}
-
-TEST_F(ShardMergeTest, ShardSpecsAreValidated)
-{
-    for (const char *bad :
-         {"0/0", "3/3", "1of3", "-1/2", "", "/2", "1/", "1/2/3", " 1/2",
-          "+1/2", "1/0x2", "1234567890/1234567891"}) {
-        Result<MatrixShard> parsed = parseMatrixShard(bad);
-        EXPECT_FALSE(parsed.ok()) << "'" << bad << "'";
-        EXPECT_EQ(parsed.code(), Errc::InvalidArgument) << bad;
-    }
-    Result<MatrixShard> last = parseMatrixShard("2/3");
-    ASSERT_TRUE(last.ok());
-    EXPECT_EQ(last.value().index, 2u);
-    EXPECT_EQ(last.value().count, 3u);
-
-    // A shard's cells must land somewhere.
-    MatrixOptions no_checkpoint;
-    no_checkpoint.shard = {1, 2};
-    EXPECT_EXIT(run(no_checkpoint), testing::ExitedWithCode(1),
-                "requires --checkpoint");
-    MatrixOptions merge_and_checkpoint;
-    merge_and_checkpoint.mergePaths = {path_};
-    merge_and_checkpoint.checkpointPath = path_;
-    EXPECT_EXIT(run(merge_and_checkpoint), testing::ExitedWithCode(1),
-                "cannot be combined");
+    EXPECT_EQ(header_for(ab).fingerprint, header_for(ba).fingerprint);
 }
 
 } // anonymous namespace

@@ -134,11 +134,11 @@ TEST_F(FaultInjectTest, BadSpecsAreRejectedAndLeaveNothingArmed)
 {
     auto &fi = FaultInjector::instance();
     const char *bad[] = {
-        "no-such-site",           // unknown name
-        "cell-kill@0",            // hit indices are 1-based
-        "cell-kill@two",          // non-numeric hit
-        "trace-cache-load:0.5x",  // trailing junk on the rate
-        "cell-kill:1,nope:0.5",   // later item poisons the whole spec
+        "no-such-site",                 // unknown name
+        "checkpoint-append@0",          // hit indices are 1-based
+        "checkpoint-append@two",        // non-numeric hit
+        "trace-cache-load:0.5x",        // trailing junk on the rate
+        "checkpoint-append:1,nope:0.5", // later item poisons it all
     };
     for (const char *spec : bad) {
         ::setenv("CBWS_FAULT", spec, 1);

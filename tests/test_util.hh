@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "prefetch/prefetcher.hh"
-#include "sim/experiment.hh"
-#include "sim/report.hh"
 #include "trace/trace.hh"
 
 namespace cbws
@@ -67,20 +65,6 @@ memCtx(Addr pc, Addr addr, bool is_write = false, bool l1_hit = false,
     ctx.l1Hit = l1_hit;
     ctx.l2Miss = l2_miss;
     return ctx;
-}
-
-/**
- * Every cell of @p matrix, row-major, through the report's toJson:
- * the byte-identity yardstick for resumed, sharded and merged runs.
- */
-inline std::string
-matrixJson(const ExperimentMatrix &matrix)
-{
-    std::vector<SimResult> cells;
-    for (const auto &row : matrix.rows)
-        cells.insert(cells.end(), row.byPrefetcher.begin(),
-                     row.byPrefetcher.end());
-    return toJson(cells);
 }
 
 } // namespace test

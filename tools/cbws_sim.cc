@@ -379,6 +379,42 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // One Chrome trace file describes one simulated system, and its
+    // window flags shape only that file; an empty window would write
+    // a file with no events.
+    const Cycle trace_start = args.getUint("trace-start", 0);
+    const Cycle trace_end = args.provided("trace-end")
+                                ? args.getUint("trace-end", 0)
+                                : ~Cycle(0);
+    const std::uint64_t trace_max_events =
+        args.getUint("trace-max-events", 500000);
+    if (!args.provided("chrome-trace")) {
+        for (const char *flag :
+             {"trace-start", "trace-end", "trace-max-events"}) {
+            if (args.provided(flag)) {
+                std::fprintf(stderr,
+                             "--%s applies only with --chrome-trace\n",
+                             flag);
+                return 1;
+            }
+        }
+    } else if (scheme == "all") {
+        std::fprintf(stderr, "--chrome-trace needs a single "
+                             "prefetcher (not 'all')\n");
+        return 1;
+    } else if (trace_end <= trace_start) {
+        std::fprintf(stderr,
+                     "--trace-end: %llu must be above --trace-start "
+                     "(%llu); the trace window would be empty\n",
+                     static_cast<unsigned long long>(trace_end),
+                     static_cast<unsigned long long>(trace_start));
+        return 1;
+    } else if (trace_max_events == 0) {
+        std::fprintf(stderr, "--trace-max-events: 0 would record no "
+                             "event; give a positive cap\n");
+        return 1;
+    }
+
     // Obtain the trace(s): load, or synthesise from workloads.
     Trace trace;
     std::string workload_name;
@@ -524,16 +560,9 @@ main(int argc, char **argv)
 
     std::unique_ptr<ChromeTraceWriter> chrome;
     if (args.provided("chrome-trace")) {
-        if (schemes.size() > 1) {
-            std::fprintf(stderr, "--chrome-trace needs a single "
-                                 "prefetcher (not 'all')\n");
-            return 1;
-        }
         chrome = std::make_unique<ChromeTraceWriter>(
-            args.get("chrome-trace"), args.getUint("trace-start", 0),
-            args.provided("trace-end") ? args.getUint("trace-end", 0)
-                                       : ~Cycle(0),
-            args.getUint("trace-max-events", 500000));
+            args.get("chrome-trace"), trace_start, trace_end,
+            trace_max_events);
         if (!chrome->ok())
             return 1;
     }
