@@ -239,8 +239,9 @@ sweepDramBandwidth(std::uint64_t insts)
 } // anonymous namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::init(argc, argv, bench::Options::None);
     const std::uint64_t insts = benchInstructionBudget(60000);
     bench::banner("CBWS ablations (design choices from DESIGN.md "
                   "section 6)",

@@ -8,7 +8,6 @@
 #include "base/faultinject.hh"
 #include "base/profiler.hh"
 #include "mem/dram/backend.hh"
-#include "workloads/registry.hh"
 
 namespace cbws
 {
@@ -50,40 +49,53 @@ writeProfileAtExit()
 } // anonymous namespace
 
 void
-init(int argc, char **argv)
+init(int argc, char **argv, Options accepted)
 {
-    ArgParser parser(argv && argc > 0 ? argv[0] : "bench",
+    const char *program = argv && argc > 0 ? argv[0] : "bench";
+    ArgParser parser(program,
                      "Figure-regenerating bench (CBWS reproduction)");
-    parser.addOption("jobs",
-                     "worker threads for the experiment matrix "
-                     "(default 1; results are identical for any "
-                     "value)");
-    parser.addOption("trace-cache",
-                     "directory for the on-disk trace cache "
-                     "(default: none; '0' or 'off' disables)");
-    parser.addOption("checkpoint",
-                     "crash-safe checkpoint file: finished matrix "
-                     "cells are appended there and a restarted run "
-                     "resumes instead of recomputing them");
-    parser.addOption("dram",
-                     "DRAM timing backend: 'fixed' (paper's flat "
-                     "latency, default) or 'ddr' (cycle-level banked "
-                     "model)");
-    parser.addRepeatable("pf-opt",
-                         "scheme parameter override as key=value "
-                         "(e.g. degree=4, cbws.table-entries=32); "
-                         "validated against the bench's scheme "
-                         "selection");
-    parser.addFlag("profile",
-                   "host-side self-profiler: phase/worker breakdown "
-                   "on stderr at exit + BENCH_profile.json");
-    parser.addOption("profile-json",
-                     "profile artifact destination (implies "
-                     "--profile; default BENCH_profile.json)");
+    if (accepted == Options::Matrix) {
+        parser.addOption("jobs",
+                         "worker threads for the experiment matrix "
+                         "(default 1; results are identical for any "
+                         "value)");
+        parser.addOption("trace-cache",
+                         "directory for the on-disk trace cache "
+                         "(default: none; '0' or 'off' disables)");
+        parser.addOption("checkpoint",
+                         "crash-safe checkpoint file: finished matrix "
+                         "cells are appended there and a restarted run "
+                         "resumes instead of recomputing them");
+    }
+    if (accepted != Options::None) {
+        parser.addOption("dram",
+                         "DRAM timing backend: 'fixed' (paper's flat "
+                         "latency, default) or 'ddr' (cycle-level "
+                         "banked model)");
+        parser.addRepeatable("pf-opt",
+                             "scheme parameter override as key=value "
+                             "(e.g. degree=4, cbws.table-entries=32); "
+                             "validated against the bench's scheme "
+                             "selection");
+        parser.addFlag("profile",
+                       "host-side self-profiler: phase/worker "
+                       "breakdown on stderr at exit + "
+                       "BENCH_profile.json");
+        parser.addOption("profile-json",
+                         "profile artifact destination (implies "
+                         "--profile; default BENCH_profile.json)");
+    }
     if (!parser.parse(argc, argv))
         std::exit(1);
     if (parser.helpRequested())
         std::exit(0);
+    if (!parser.positionals().empty()) {
+        std::fprintf(stderr, "%s: unexpected argument '%s'\n",
+                     program, parser.positionals().front().c_str());
+        std::exit(1);
+    }
+    if (accepted == Options::None)
+        return;
 
     {
         Result<void> faults =
@@ -171,13 +183,6 @@ const std::vector<std::string> &
 pfOpts()
 {
     return g_pf_opts;
-}
-
-ExperimentMatrix
-fullMatrix(std::uint64_t insts)
-{
-    return runMatrix(allWorkloads(), allSchemeNames(),
-                     systemConfig(), insts, 42, matrixOptions());
 }
 
 std::string

@@ -16,6 +16,15 @@ namespace cbws
 namespace bench
 {
 
+/** Which options a bench's command line accepts. */
+enum class Options
+{
+    Matrix, ///< all of init()'s options: the bench calls runMatrix
+    System, ///< --dram, --pf-opt and the profiler, not the matrix
+            ///< knobs (--jobs, --trace-cache, --checkpoint)
+    None,   ///< --help only
+};
+
 /**
  * Parse the execution knobs every matrix bench shares:
  *
@@ -34,14 +43,17 @@ namespace bench
  *   --profile-json=F  profile artifact destination (implies --profile)
  *   --help            print usage and exit
  *
- * init() also arms the deterministic fault-injection harness from the
- * CBWS_FAULT / CBWS_FAULT_SEED environment (base/faultinject.hh).
+ * Unless @p accepted is None, init() also arms the deterministic
+ * fault-injection harness from the CBWS_FAULT / CBWS_FAULT_SEED
+ * environment (base/faultinject.hh).
  *
- * Call at the top of main(); exits on bad arguments or --help. Any
- * jobs value produces byte-identical report output — parallelism
- * only changes wall-clock time.
+ * Call at the top of main(); exits 0 on --help and 1 on an option
+ * outside @p accepted or on any positional argument, so a bench never
+ * ignores a knob it cannot honour. Any jobs value produces
+ * byte-identical report output — parallelism only changes wall-clock
+ * time.
  */
-void init(int argc, char **argv);
+void init(int argc, char **argv, Options accepted = Options::Matrix);
 
 /** The runMatrix options resolved by init() (or the defaults). */
 MatrixOptions matrixOptions();
@@ -56,9 +68,6 @@ const std::vector<std::string> &pfOpts();
 /** Print the standard bench banner with the paper reference. */
 void banner(const std::string &title, const std::string &paper_ref,
             std::uint64_t insts);
-
-/** Run the full 30-benchmark x 7-prefetcher matrix (Table II system). */
-ExperimentMatrix fullMatrix(std::uint64_t insts);
 
 /** Format a fraction as a percentage string. */
 std::string pct(double fraction, int precision = 1);

@@ -18,8 +18,9 @@
 using namespace cbws;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::init(argc, argv, bench::Options::None);
     const std::uint64_t insts = benchInstructionBudget();
     bench::banner("Figure 1 - runtime fraction in tight innermost "
                   "loops",

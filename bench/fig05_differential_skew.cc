@@ -19,8 +19,9 @@
 using namespace cbws;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::init(argc, argv, bench::Options::None);
     const std::uint64_t insts = benchInstructionBudget();
     bench::banner("Figure 5 - skew of the CBWS differential-vector "
                   "distribution",

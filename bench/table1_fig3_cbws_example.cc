@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common.hh"
 #include "core/cbws_types.hh"
 #include "sim/experiment.hh"
 #include "workloads/registry.hh"
@@ -139,8 +140,9 @@ stencilFigure()
 } // anonymous namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::init(argc, argv, bench::Options::None);
     std::printf("Table I + Figs. 3-4 - CBWS construction worked "
                 "example\n\n");
     table1Example();

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "base/table.hh"
+#include "common.hh"
 #include "core/cbws_prefetcher.hh"
 #include "prefetch/ghb.hh"
 #include "prefetch/sms.hh"
@@ -16,8 +17,9 @@
 using namespace cbws;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::init(argc, argv, bench::Options::None);
     std::printf("Table II - simulation parameters (live defaults)\n\n");
     const SystemConfig c;
     const StrideParams stride;

@@ -8,13 +8,15 @@
 #include <cstdio>
 
 #include "base/table.hh"
+#include "common.hh"
 #include "sim/config.hh"
 
 using namespace cbws;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::init(argc, argv, bench::Options::None);
     std::printf("Table III - hardware storage comparison\n\n");
 
     TextTable t;
