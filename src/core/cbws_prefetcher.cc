@@ -229,7 +229,8 @@ cbwsParamSchema()
 {
     return ParamSchema()
         .field("max-vector-members", &CbwsParams::maxVectorMembers,
-               "distinct lines traced per code block (FIFO depth)")
+               "distinct lines traced per code block (FIFO depth)",
+               4096)
         .field("num-steps", &CbwsParams::numSteps,
                "stored working sets / deepest prediction step")
         .field("history-depth", &CbwsParams::historyDepth,
@@ -237,7 +238,8 @@ cbwsParamSchema()
         .field("hash-bits", &CbwsParams::hashBits,
                "bits per hashed differential")
         .field("table-entries", &CbwsParams::tableEntries,
-               "differential history table entries")
+               "differential history table entries",
+               MaxTableEntries)
         .field("tag-bits", &CbwsParams::tagBits,
                "xor-folded history tag width")
         .field("train-on-hits", &CbwsParams::trainOnHits,

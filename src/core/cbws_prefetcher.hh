@@ -90,6 +90,12 @@ class CbwsPrefetcher : public Prefetcher
     void blockBegin(BlockId id, PrefetchSink &sink) override;
     void blockEnd(BlockId id, PrefetchSink &sink) override;
 
+    PfStageMask
+    stages() const override
+    {
+        return TrainsAtCommit | TrainsOnBlocks;
+    }
+
     std::uint64_t storageBits() const override;
     std::string name() const override { return "CBWS"; }
 

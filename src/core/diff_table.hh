@@ -109,13 +109,17 @@ class DifferentialTable
         return nullptr;
     }
 
-    /** Record that history @p tag was followed by @p diff. */
+    /**
+     * Record that history @p tag was followed by @p diff. The slot
+     * copy-assigns, reusing its capacity, so a warm table allocates
+     * nothing.
+     */
     void
-    insert(std::uint16_t tag, CbwsDifferential diff)
+    insert(std::uint16_t tag, const CbwsDifferential &diff)
     {
         for (auto &slot : slots_) {
             if (slot.valid && slot.tag == tag) {
-                slot.diff = std::move(diff);
+                slot.diff = diff;
                 return;
             }
         }
@@ -123,13 +127,13 @@ class DifferentialTable
             if (!slot.valid) {
                 slot.valid = true;
                 slot.tag = tag;
-                slot.diff = std::move(diff);
+                slot.diff = diff;
                 return;
             }
         }
         auto &victim = slots_[rng_.below(slots_.size())];
         victim.tag = tag;
-        victim.diff = std::move(diff);
+        victim.diff = diff;
     }
 
     void

@@ -116,6 +116,7 @@ OooCore::begin(const Trace &trace, std::uint64_t max_insts,
     robCount_ = 0;
     storeQueue_.assign(params_.stqSize, StoreEntry());
     sqHead_ = 0;
+    storeLines_.fill(0);
     fetchQueue_.assign(params_.fetchQueueSize, FetchEntry());
     fqHead_ = 0;
     fqCount_ = 0;
@@ -161,6 +162,7 @@ OooCore::commitStage(Cycle now)
             if (onAccess_)
                 onAccess_(rec, head.mem, now);
             // Stores commit in program order: this is the queue head.
+            --storeLines_[storeBucket(storeQueue_[sqHead_].line)];
             if (++sqHead_ == storeQueue_.size())
                 sqHead_ = 0;
             --stqCount_;
@@ -198,6 +200,9 @@ OooCore::commitStage(Cycle now)
 Cycle
 OooCore::forwardFrom(std::size_t p, LineAddr line, Cycle now) const
 {
+    // No in-flight store shares the line's hash: none is on the line.
+    if (storeLines_[storeBucket(line)] == 0)
+        return 0;
     // Youngest-first over the in-flight stores: skip those younger
     // than the load, then the first older one on the line decides.
     const std::size_t load_off = robOffset(p);
@@ -358,6 +363,7 @@ OooCore::dispatchStage(Cycle now)
                 q -= storeQueue_.size();
             storeQueue_[q] = StoreEntry{
                 rec.line(), static_cast<std::uint32_t>(phys)};
+            ++storeLines_[storeBucket(rec.line())];
             ++stqCount_;
         }
         RobEntry &slot = rob_[phys];
@@ -608,7 +614,7 @@ runCores(const std::vector<OooCore *> &cores, Hierarchy &mem,
     while (true) {
         stages.beginIteration();
         mem.tick(now);
-        const std::uint64_t mshr_stalls0 = mem.stats().mshrStalls;
+        const std::uint64_t mshr_stalls0 = mem.mshrStalls();
         bool worked = false;
         for (unsigned c = 0; c < n; ++c) {
             if (end[c] != Never)
@@ -647,7 +653,7 @@ runCores(const std::vector<OooCore *> &cores, Hierarchy &mem,
                     if (end[c] == Never)
                         cores[c]->addSkippedCycles(skipped);
                 mem.addSkippedMshrStalls(
-                    (mem.stats().mshrStalls - mshr_stalls0) * skipped);
+                    (mem.mshrStalls() - mshr_stalls0) * skipped);
                 now += skipped;
             }
         }

@@ -39,7 +39,8 @@
  *    bound and sets the ready bit of consumers whose count reaches
  *    0. Issue selects from the ready bits alone.
  *  - Store queue: in-flight stores in program order as (line, ROB
- *    slot); forwarding searches it youngest-first.
+ *    slot); forwarding searches it youngest-first, and only when a
+ *    per-line-hash count of in-flight stores says one may match.
  *  - A load that fails on a full L1D MSHR file is not retried
  *    against the hierarchy until the file can drain
  *    (Hierarchy::l1dBlockedUntil); earlier retries only replay the
@@ -355,6 +356,14 @@ class OooCore
      */
     Cycle forwardFrom(std::size_t p, LineAddr line, Cycle now) const;
 
+    /** Store-filter bucket of @p line: its low 8 bits. */
+    static constexpr std::size_t StoreFilterBuckets = 256;
+    static std::size_t
+    storeBucket(LineAddr line)
+    {
+        return line & (StoreFilterBuckets - 1);
+    }
+
     /** Record that ROB slot @p p issued with completion @p ready:
      *  wake its consumers and schedule the completion. */
     void completeIssue(std::size_t p, Cycle ready, Cycle now);
@@ -424,6 +433,12 @@ class OooCore
      *  entries): pushed at dispatch, popped at commit. */
     std::vector<StoreEntry> storeQueue_;
     std::size_t sqHead_ = 0;
+    /**
+     * In-flight stores per storeBucket(), kept with the store queue.
+     * A load whose bucket is 0 has no older store on its line, so
+     * forwardFrom() answers without a scan.
+     */
+    std::array<std::uint32_t, StoreFilterBuckets> storeLines_{};
     /** Fetch queue as a fixed ring (fetchQueueSize entries). */
     std::vector<FetchEntry> fetchQueue_;
     std::size_t fqHead_ = 0;

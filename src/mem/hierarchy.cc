@@ -343,16 +343,8 @@ Hierarchy::issuePrefetches(Cycle now)
 }
 
 void
-Hierarchy::tick(Cycle now)
+Hierarchy::tickNewCycle(Cycle now)
 {
-    if (lastDrainCycle_ == now) {
-        // Drains already ran this cycle (the common repeat is the
-        // tick() inside each demand access); only the prefetch issue
-        // budget renews per invocation.
-        if (!prefetchQueue_.empty())
-            issuePrefetches(now);
-        return;
-    }
     lastDrainCycle_ = now;
     if (__builtin_expect(prof::enabled(), 0)) {
         // Profiled path only: tick() runs every simulated cycle, so

@@ -322,8 +322,18 @@ class Hierarchy
      * Advance bookkeeping to @p now: drain completed fills and issue
      * queued prefetches. Must be called with non-decreasing cycles;
      * the demand-access entry points call it internally as well.
+     * Inline, because most calls repeat a cycle whose drains already
+     * ran (the tick() inside each demand access): only the prefetch
+     * issue budget renews per call, and the queue is usually empty.
      */
-    void tick(Cycle now);
+    void
+    tick(Cycle now)
+    {
+        if (lastDrainCycle_ != now)
+            tickNewCycle(now);
+        else if (!prefetchQueue_.empty())
+            issuePrefetches(now);
+    }
 
     /** Demand load from core @p core at cycle @p now. */
     AccessOutcome load(Addr addr, Cycle now, unsigned core = 0);
@@ -408,6 +418,10 @@ class Hierarchy
         return stats_;
     }
 
+    /** stats().mshrStalls, without mirroring the DRAM counters (the
+     *  cycle loop reads it every stepped cycle). */
+    std::uint64_t mshrStalls() const { return stats_.mshrStalls; }
+
     const HierarchyParams &params() const { return params_; }
 
     /** The main-memory timing backend this hierarchy runs over. */
@@ -454,6 +468,10 @@ class Hierarchy
     AccessOutcome demandAccess(LineAddr line, Cycle now, bool is_write,
                                bool is_data, bool can_stall,
                                unsigned core);
+
+    /** tick() on the first call in cycle @p now: the drains, then
+     *  prefetch issue. */
+    void tickNewCycle(Cycle now);
 
     void drainL2(Cycle now);
     void drainL1(Cycle now);

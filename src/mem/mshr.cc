@@ -6,18 +6,9 @@ namespace cbws
 {
 
 MshrFile::Entry *
-MshrFile::find(LineAddr line)
+MshrFile::findSlow(LineAddr line)
 {
     for (auto &e : entries_)
-        if (e.valid && e.line == line)
-            return &e;
-    return nullptr;
-}
-
-const MshrFile::Entry *
-MshrFile::find(LineAddr line) const
-{
-    for (const auto &e : entries_)
         if (e.valid && e.line == line)
             return &e;
     return nullptr;
@@ -41,6 +32,7 @@ MshrFile::allocate(LineAddr line, Cycle ready_at, bool is_prefetch,
             e.pfSource = PfSource::Unknown;
             e.firstDemandAt = 0;
             ++numValid_;
+            ++lineCount_[bucket(line)];
             if (ready_at < nextReady_)
                 nextReady_ = ready_at;
             return e;
@@ -56,6 +48,7 @@ MshrFile::clear()
         e.valid = false;
     numValid_ = 0;
     nextReady_ = NoEvent;
+    lineCount_.fill(0);
 }
 
 } // namespace cbws

@@ -13,6 +13,7 @@
 #ifndef CBWS_MEM_MSHR_HH
 #define CBWS_MEM_MSHR_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -46,9 +47,23 @@ class MshrFile
 
     explicit MshrFile(unsigned capacity) : entries_(capacity) {}
 
-    /** Find the in-flight entry for @p line, if any. */
-    Entry *find(LineAddr line);
-    const Entry *find(LineAddr line) const;
+    /**
+     * Find the in-flight entry for @p line, if any. A line whose
+     * filter bucket counts no valid entry answers without a walk.
+     */
+    Entry *
+    find(LineAddr line)
+    {
+        if (lineCount_[bucket(line)] == 0)
+            return nullptr;
+        return findSlow(line);
+    }
+
+    const Entry *
+    find(LineAddr line) const
+    {
+        return const_cast<MshrFile *>(this)->find(line);
+    }
 
     /**
      * True when no entry can be allocated. O(1): the valid count is
@@ -95,6 +110,7 @@ class MshrFile
                 on_fill(static_cast<const Entry &>(e));
                 e.valid = false;
                 --numValid_;
+                --lineCount_[bucket(e.line)];
             } else if (e.readyAt < next) {
                 next = e.readyAt;
             }
@@ -115,9 +131,22 @@ class MshrFile
     Cycle nextReady() const { return nextReady_; }
 
   private:
+    /** Filter bucket of @p line: its low 8 bits. */
+    static constexpr std::size_t FilterBuckets = 256;
+    static std::size_t
+    bucket(LineAddr line)
+    {
+        return line & (FilterBuckets - 1);
+    }
+
+    /** The walk behind find(), once the filter let @p line through. */
+    Entry *findSlow(LineAddr line);
+
     std::vector<Entry> entries_;
     unsigned numValid_ = 0;
     Cycle nextReady_ = NoEvent;
+    /** Valid entries per bucket(): 0 proves a line is not in flight. */
+    std::array<std::uint32_t, FilterBuckets> lineCount_{};
 
     static constexpr Cycle NoEvent = ~Cycle(0);
 };

@@ -42,6 +42,13 @@ class CbwsAddOnPrefetcher : public Prefetcher
     void blockBegin(BlockId id, PrefetchSink &sink) override;
     void blockEnd(BlockId id, PrefetchSink &sink) override;
 
+    /** The base's stages, plus CBWS's commit and block training. */
+    PfStageMask
+    stages() const override
+    {
+        return base_->stages() | cbws_.stages();
+    }
+
     std::uint64_t storageBits() const override;
     std::string name() const override;
 

@@ -81,9 +81,11 @@ ampmParamSchema()
 {
     return ParamSchema()
         .field("zone-bytes", &AmpmParams::zoneBytes,
-               "access-map zone size in bytes")
+               "access-map zone size in bytes",
+               std::uint64_t(1) << 24)
         .field("map-entries", &AmpmParams::mapEntries,
-               "tracked zones (LRU)")
+               "tracked zones (LRU)",
+               MaxTableEntries)
         .field("max-stride", &AmpmParams::maxStride,
                "largest candidate stride pattern-matched")
         .field("degree", &AmpmParams::degree,

@@ -52,6 +52,7 @@ class AmpmPrefetcher : public Prefetcher
     void observeAccess(const PrefetchContext &ctx,
                        PrefetchSink &sink) override;
 
+    PfStageMask stages() const override { return TrainsAtAccess; }
     std::uint64_t storageBits() const override;
     std::string name() const override { return "AMPM"; }
 

@@ -9,35 +9,11 @@ namespace cbws
 {
 
 GhbPrefetcher::GhbPrefetcher(Mode mode, const GhbParams &params)
-    : mode_(mode), params_(params), buffer_(params.bufferEntries)
+    : mode_(mode), params_(params), buffer_(params.bufferEntries),
+      walk_(std::min(params.maxChainWalk, params.bufferEntries))
 {
     fatal_if(params_.bufferEntries == 0,
              "GHB buffer-entries must be at least 1");
-}
-
-const GhbPrefetcher::Entry *
-GhbPrefetcher::entryFor(std::uint64_t seq) const
-{
-    if (seq == InvalidSeq || seq >= nextSeq_)
-        return nullptr;
-    if (nextSeq_ - seq > buffer_.size())
-        return nullptr; // overwritten by wraparound
-    return &buffer_[seq % buffer_.size()];
-}
-
-std::vector<LineAddr>
-GhbPrefetcher::collect(std::uint64_t head_seq, unsigned max) const
-{
-    std::vector<LineAddr> lines;
-    std::uint64_t seq = head_seq;
-    while (lines.size() < max) {
-        const Entry *e = entryFor(seq);
-        if (!e)
-            break;
-        lines.push_back(e->line);
-        seq = e->prevSeq;
-    }
-    return lines;
 }
 
 void
@@ -51,67 +27,44 @@ GhbPrefetcher::observeAccess(const PrefetchContext &ctx, PrefetchSink &sink)
     const Addr key = mode_ == Mode::GlobalDC ? 0 : ctx.pc;
 
     // Link the new miss into its stream and update the index table.
-    std::uint64_t prev_seq = InvalidSeq;
-    const std::uint64_t seq = nextSeq_++;
-    if (auto [it, inserted] = indexTable_.try_emplace(key, seq);
+    const StreamHead head{nextSeq_++, nextSlot_};
+    if (++nextSlot_ == buffer_.size())
+        nextSlot_ = 0;
+    StreamHead prev;
+    if (auto [it, inserted] = indexTable_.try_emplace(key, head);
         !inserted) {
-        prev_seq = it->second;
-        it->second = seq;
+        prev = it->second;
+        it->second = head;
     }
-    buffer_[seq % buffer_.size()] = Entry{ctx.line, prev_seq};
+    buffer_[head.slot] = Entry{ctx.line, prev.seq, prev.slot};
 
     // Bound the index table: entries whose head has been overwritten
     // are useless; prune opportunistically to keep memory bounded.
     if (indexTable_.size() > 4 * params_.bufferEntries) {
         for (auto it = indexTable_.begin(); it != indexTable_.end();) {
-            if (!entryFor(it->second))
+            if (!live(it->second.seq))
                 it = indexTable_.erase(it);
             else
                 ++it;
         }
     }
 
-    // Delta correlation over this stream's recent history. The walk
-    // is bounded by maxChainWalk, so for the default configuration it
-    // fits a fixed stack buffer and the training path allocates
-    // nothing; oversized configurations fall back to collect().
-    constexpr unsigned WalkCap = 64;
-    LineAddr recent_buf[WalkCap];
+    // Delta correlation over this stream's recent history, walked
+    // newest first into the preallocated scratch buffer.
+    std::int64_t *recent = walk_.data();
     std::size_t m = 0;
-    if (params_.maxChainWalk <= WalkCap) {
-        std::uint64_t s = seq;
-        while (m < params_.maxChainWalk) {
-            const Entry *e = entryFor(s);
-            if (!e)
-                break;
-            recent_buf[m++] = e->line;
-            s = e->prevSeq;
-        }
-    } else {
-        const std::vector<LineAddr> heap =
-            collect(seq, params_.maxChainWalk);
-        if (heap.size() < params_.historyLength + 1)
-            return;
-        std::vector<LineAddr> rev(heap.rbegin(), heap.rend());
-        std::vector<std::int64_t> hdeltas(rev.size() - 1);
-        for (std::size_t i = 0; i + 1 < rev.size(); ++i) {
-            hdeltas[i] = static_cast<std::int64_t>(rev[i + 1]) -
-                         static_cast<std::int64_t>(rev[i]);
-        }
-        correlateAndIssue(hdeltas.data(), hdeltas.size(), ctx.line,
-                          sink);
-        return;
+    for (StreamHead at = head; m < walk_.size() && live(at.seq);) {
+        const Entry &e = buffer_[at.slot];
+        recent[m++] = static_cast<std::int64_t>(e.line);
+        at = StreamHead{e.prevSeq, e.prevSlot};
     }
     if (m < params_.historyLength + 1)
         return;
-    std::reverse(recent_buf, recent_buf + m); // oldest -> newest
-
-    std::int64_t deltas_buf[WalkCap];
-    for (std::size_t i = 0; i + 1 < m; ++i) {
-        deltas_buf[i] = static_cast<std::int64_t>(recent_buf[i + 1]) -
-                        static_cast<std::int64_t>(recent_buf[i]);
-    }
-    correlateAndIssue(deltas_buf, m - 1, ctx.line, sink);
+    std::reverse(recent, recent + m); // oldest -> newest
+    // Deltas in place: recent[i] becomes recent[i + 1] - recent[i].
+    for (std::size_t i = 0; i + 1 < m; ++i)
+        recent[i] = recent[i + 1] - recent[i];
+    correlateAndIssue(recent, m - 1, ctx.line, sink);
 }
 
 void
@@ -158,7 +111,8 @@ ghbParamSchema()
 {
     return ParamSchema()
         .field("buffer-entries", &GhbParams::bufferEntries,
-               "circular global history buffer entries")
+               "circular global history buffer entries",
+               MaxTableEntries)
         .field("history-length", &GhbParams::historyLength,
                "addresses per delta-correlation window")
         .field("degree", &GhbParams::degree,

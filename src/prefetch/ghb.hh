@@ -57,6 +57,7 @@ class GhbPrefetcher : public Prefetcher
     void observeAccess(const PrefetchContext &ctx,
                  PrefetchSink &sink) override;
 
+    PfStageMask stages() const override { return TrainsAtAccess; }
     std::uint64_t storageBits() const override;
 
     std::string
@@ -73,19 +74,25 @@ class GhbPrefetcher : public Prefetcher
          *  InvalidSeq. Sequence numbers (not buffer slots) make stale
          *  links detectable after wraparound. */
         std::uint64_t prevSeq = InvalidSeq;
+        /** Buffer slot of that entry, so the walk needs no modulo. */
+        std::uint32_t prevSlot = 0;
+    };
+
+    /** Newest entry of one stream. */
+    struct StreamHead
+    {
+        std::uint64_t seq = InvalidSeq;
+        std::uint32_t slot = 0;
     };
 
     static constexpr std::uint64_t InvalidSeq = ~std::uint64_t(0);
 
-    /** Slot holding a sequence number, or nullptr if overwritten. */
-    const Entry *entryFor(std::uint64_t seq) const;
-
-    /**
-     * Walk the stream backwards from @p head_seq collecting up to
-     * @p max lines (most recent first).
-     */
-    std::vector<LineAddr> collect(std::uint64_t head_seq,
-                                  unsigned max) const;
+    /** True while sequence number @p seq is still in the buffer. */
+    bool
+    live(std::uint64_t seq) const
+    {
+        return seq != InvalidSeq && nextSeq_ - seq <= buffer_.size();
+    }
 
     /**
      * Scan @p deltas (oldest -> newest, @p n entries) for the most
@@ -99,9 +106,14 @@ class GhbPrefetcher : public Prefetcher
     GhbParams params_;
     std::vector<Entry> buffer_;
     std::uint64_t nextSeq_ = 0;
+    /** Slot of sequence number nextSeq_. */
+    std::uint32_t nextSlot_ = 0;
     /** Index table: key (0 for global mode, PC otherwise) -> newest
-     *  sequence number of that stream. */
-    std::unordered_map<Addr, std::uint64_t> indexTable_;
+     *  entry of that stream. */
+    std::unordered_map<Addr, StreamHead> indexTable_;
+    /** One lookup's walk: its lines, then their deltas. Sized
+     *  min(maxChainWalk, bufferEntries), the longest possible walk. */
+    std::vector<std::int64_t> walk_;
 };
 
 } // namespace cbws

@@ -127,7 +127,8 @@ multistrideParamSchema()
 {
     return ParamSchema()
         .field("table-entries", &MultistrideParams::tableEntries,
-               "PC-indexed table entries (LRU)")
+               "PC-indexed table entries (LRU)",
+               MaxTableEntries)
         .field("history-length", &MultistrideParams::historyLength,
                "line deltas remembered per PC")
         .field("max-period", &MultistrideParams::maxPeriod,

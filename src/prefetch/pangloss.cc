@@ -175,9 +175,11 @@ panglossParamSchema()
 {
     return ParamSchema()
         .field("page-bytes", &PanglossParams::pageBytes,
-               "delta-tracking page size in bytes")
+               "delta-tracking page size in bytes",
+               std::uint64_t(1) << 24)
         .field("page-entries", &PanglossParams::pageEntries,
-               "tracked pages (LRU)")
+               "tracked pages (LRU)",
+               MaxTableEntries)
         .field("assoc", &PanglossParams::assoc,
                "candidates per transition set")
         .field("max-counter", &PanglossParams::maxCounter,

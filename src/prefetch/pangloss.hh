@@ -61,6 +61,7 @@ class PanglossPrefetcher : public Prefetcher
     void observeAccess(const PrefetchContext &ctx,
                        PrefetchSink &sink) override;
 
+    PfStageMask stages() const override { return TrainsAtAccess; }
     std::uint64_t storageBits() const override;
     std::string name() const override { return "Pangloss"; }
 

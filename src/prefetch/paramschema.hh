@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -37,6 +38,13 @@ namespace cbws
 {
 
 class ParamSet; // registry.hh; only referenced through std::function
+
+/**
+ * Upper bound of every key that sizes a table (the `*-entries` keys):
+ * 2^20 entries, 4096x the largest Table II table, yet small enough
+ * that no scheme's up-front allocation can exhaust memory.
+ */
+constexpr unsigned MaxTableEntries = 1u << 20;
 
 namespace detail
 {
@@ -125,25 +133,37 @@ class ParamSchema
     /**
      * Bind @p key to member @p member of param struct @p S. The
      * default shown in help text is taken from a default-constructed
-     * S, so it always matches what the factory uses.
+     * S, so it always matches what the factory uses. A key that sizes
+     * an allocation passes @p max: a larger value is refused while
+     * parsing, before any scheme is built, and the help text names
+     * the bound.
      */
     template <typename S, typename M>
     ParamSchema &
-    field(const std::string &key, M S::*member, const std::string &help)
+    field(const std::string &key, M S::*member, const std::string &help,
+          std::type_identity_t<M> max = std::numeric_limits<M>::max())
     {
         KeyInfo info;
         info.key = key;
         info.type = detail::paramTypeName<M>();
         info.defaultValue = detail::paramValueToString(S{}.*member);
         info.help = help;
+        if (max != std::numeric_limits<M>::max())
+            info.help += " (at most " + detail::paramValueToString(max) +
+                         ")";
         return bind(std::move(info),
-                    [member](ParamSet &params,
-                             const std::string &value) -> Result<void> {
+                    [member, max](ParamSet &params, const std::string &value)
+                        -> Result<void> {
                         M parsed{};
                         Result<void> r =
                             detail::parseParamValue(value, parsed);
                         if (!r.ok())
                             return r;
+                        if (parsed > max)
+                            return Error(
+                                Errc::InvalidArgument,
+                                value + " exceeds the maximum " +
+                                    detail::paramValueToString(max));
                         S current = getCurrent<S>(params);
                         current.*member = parsed;
                         setCurrent(params, current);

@@ -2,12 +2,12 @@
  * @file
  * Abstract prefetcher interface.
  *
- * Prefetchers are trained from the core's in-order commit stage: every
- * committed memory operation is delivered via observe() together with
- * its execute-time L1 hit/miss outcome, and the BLOCK_BEGIN/BLOCK_END
- * markers are delivered via blockBegin()/blockEnd(). Prefetch requests
- * are emitted through a PrefetchSink, which the simulator connects to
- * the hierarchy's prefetch-into-L2 queue.
+ * Prefetchers train at the stages they declare (stages()): memory
+ * operations accessing the cache and committed memory operations are
+ * delivered via observe() together with their access outcome, and the
+ * committed BLOCK_BEGIN/BLOCK_END markers via blockBegin()/blockEnd().
+ * Prefetch requests are emitted through a PrefetchSink, which the
+ * simulator connects to the hierarchy's prefetch-into-L2 queue.
  */
 
 #ifndef CBWS_PREFETCH_PREFETCHER_HH
@@ -66,6 +66,16 @@ enum class PfStage : std::uint8_t
     Access, ///< the operation accessed the cache (execute time)
     Commit, ///< the operation committed, in program order
 };
+
+/**
+ * Bit set of the training stages a scheme uses (Prefetcher::stages()).
+ * The simulator delivers only the declared stages: the hooks of a
+ * stage left out are never installed.
+ */
+using PfStageMask = std::uint8_t;
+constexpr PfStageMask TrainsAtAccess = 1u << 0; ///< observeAccess()
+constexpr PfStageMask TrainsAtCommit = 1u << 1; ///< observeCommit()
+constexpr PfStageMask TrainsOnBlocks = 1u << 2; ///< blockBegin/End()
 
 /**
  * One training notification delivered to a prefetcher: the committed
@@ -143,6 +153,14 @@ class Prefetcher
         (void)sink;
     }
 
+    /**
+     * The training stages this scheme acts on. The simulator skips
+     * the others, so every hook of an undeclared stage must be a
+     * no-op here; the benchmark suite's traced run, which delivers
+     * every stage, checks that its results are unchanged.
+     */
+    virtual PfStageMask stages() const = 0;
+
     /** Hardware budget of the scheme, in bits (Table III). */
     virtual std::uint64_t storageBits() const = 0;
 
@@ -170,6 +188,7 @@ class Prefetcher
 class NullPrefetcher : public Prefetcher
 {
   public:
+    PfStageMask stages() const override { return 0; }
     std::uint64_t storageBits() const override { return 0; }
     std::string name() const override { return "No-Prefetch"; }
 };

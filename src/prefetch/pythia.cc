@@ -194,9 +194,11 @@ pythiaParamSchema()
 {
     return ParamSchema()
         .field("q-entries", &PythiaParams::qEntries,
-               "hashed Q-table rows")
+               "hashed Q-table rows",
+               MaxTableEntries)
         .field("eq-entries", &PythiaParams::eqEntries,
-               "evaluation-queue depth")
+               "evaluation-queue depth",
+               MaxTableEntries)
         .field("delta-history", &PythiaParams::deltaHistory,
                "deltas folded into the state feature")
         .field("use-pc", &PythiaParams::usePc,

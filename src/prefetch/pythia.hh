@@ -72,6 +72,7 @@ class PythiaPrefetcher : public Prefetcher
     void observeAccess(const PrefetchContext &ctx,
                        PrefetchSink &sink) override;
 
+    PfStageMask stages() const override { return TrainsAtAccess; }
     std::uint64_t storageBits() const override;
     std::string name() const override { return "Pythia"; }
 

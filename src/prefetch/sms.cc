@@ -187,11 +187,14 @@ smsParamSchema()
         .field("region-bytes", &SmsParams::regionBytes,
                "spatial region size in bytes")
         .field("agt-entries", &SmsParams::agtEntries,
-               "active generation (accumulation) table entries")
+               "active generation (accumulation) table entries",
+               MaxTableEntries)
         .field("filter-entries", &SmsParams::filterEntries,
-               "filter table entries")
+               "filter table entries",
+               MaxTableEntries)
         .field("pht-entries", &SmsParams::phtEntries,
-               "pattern history table entries")
+               "pattern history table entries",
+               MaxTableEntries)
         .field("pht-assoc", &SmsParams::phtAssoc,
                "pattern history table associativity")
         .field("train-on-hits", &SmsParams::trainOnHits,

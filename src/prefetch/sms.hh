@@ -67,6 +67,7 @@ class SmsPrefetcher : public Prefetcher
     void observeAccess(const PrefetchContext &ctx,
                  PrefetchSink &sink) override;
 
+    PfStageMask stages() const override { return TrainsAtAccess; }
     std::uint64_t storageBits() const override;
     std::string name() const override { return "SMS"; }
 

@@ -71,7 +71,8 @@ strideParamSchema()
 {
     return ParamSchema()
         .field("table-entries", &StrideParams::tableEntries,
-               "reference prediction table entries (LRU)")
+               "reference prediction table entries (LRU)",
+               MaxTableEntries)
         .field("degree", &StrideParams::degree,
                "lines prefetched per trigger")
         .field("confidence-threshold",

@@ -50,15 +50,23 @@ cbwsComponent(Prefetcher *prefetcher)
 }
 
 /**
- * Commit-hook class mask for the prefetcher-training hook: it only
- * acts on memory retires and block markers, so everything else can
- * skip the std::function dispatch.
+ * Commit-hook class mask for a prefetcher training at @p stages: its
+ * commit hook acts only on the memory retires and block markers of
+ * the stages it declares, so every other retire skips the
+ * std::function dispatch. 0 when it trains at neither.
  */
-constexpr std::uint32_t TrainingCommitMask =
-    OooCore::classBit(InstClass::Load) |
-    OooCore::classBit(InstClass::Store) |
-    OooCore::classBit(InstClass::BlockBegin) |
-    OooCore::classBit(InstClass::BlockEnd);
+std::uint32_t
+trainingCommitMask(PfStageMask stages)
+{
+    std::uint32_t mask = 0;
+    if (stages & TrainsAtCommit)
+        mask |= OooCore::classBit(InstClass::Load) |
+                OooCore::classBit(InstClass::Store);
+    if (stages & TrainsOnBlocks)
+        mask |= OooCore::classBit(InstClass::BlockBegin) |
+                OooCore::classBit(InstClass::BlockEnd);
+    return mask;
+}
 
 PrefetchContext
 contextOf(const TraceRecord &rec, const AccessOutcome &out)
@@ -170,12 +178,19 @@ simulateMulti(const std::vector<const Trace *> &traces,
                 break;
             }
         };
-        hooks[c].access = [pf, sink](const TraceRecord &rec,
-                                     const AccessOutcome &out, Cycle) {
-            PROF_SCOPE_SAMPLED(prof::Phase::PfObserve, 15);
-            pf->observe(PrefetchEvent{PfStage::Access, contextOf(rec, out)},
-                        *sink);
-        };
+        // Only the stages the scheme declares reach it (the others
+        // are no-ops for it): no access hook unless it trains there,
+        // and a commit mask of only its commit stages (below).
+        if (pf->stages() & TrainsAtAccess) {
+            hooks[c].access = [pf, sink](const TraceRecord &rec,
+                                         const AccessOutcome &out,
+                                         Cycle) {
+                PROF_SCOPE_SAMPLED(prof::Phase::PfObserve, 15);
+                pf->observe(
+                    PrefetchEvent{PfStage::Access, contextOf(rec, out)},
+                    *sink);
+            };
+        }
         hooks[c].warmup = [&cross_warmup, c](Cycle now) {
             cross_warmup(c, now);
         };
@@ -187,7 +202,8 @@ simulateMulti(const std::vector<const Trace *> &traces,
         cores.push_back(std::make_unique<OooCore>(config.core, mem, c));
         order.push_back(cores[c].get());
         cores[c]->setTraceSink(probes.trace);
-        cores[c]->setCommitHookMask(TrainingCommitMask);
+        cores[c]->setCommitHookMask(
+            trainingCommitMask(prefetchers[c]->stages()));
         cores[c]->begin(*traces[c], max_insts, hooks[c].commit,
                         hooks[c].access, warmup_insts, hooks[c].warmup);
     }

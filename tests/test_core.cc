@@ -154,6 +154,53 @@ TEST(Core, YoungestOlderStoreDecidesForwarding)
     EXPECT_TRUE(load_c_reached_cache);
 }
 
+TEST(Core, ForwardingFilterBucketAliasesStayExact)
+{
+    // Lines L and L + 256 share a bucket of the in-flight store
+    // filter. A store to L + 256 whose data waits on a DRAM miss must
+    // not hold back a load of L: that load goes to the cache at once.
+    // A load behind a store to L itself still waits for the store,
+    // then forwards from it.
+    Trace t;
+    t.append(TraceRecord::alu(0x400000, 3));
+    t.append(TraceRecord::load(0x400004, 0x3000000, 5));   // miss
+    t.append(TraceRecord::store(0x400008, 0x2004000, 5));  // L + 256
+    t.append(TraceRecord::load(0x40000c, 0x2000000, 6));   // L
+    t.append(TraceRecord::store(0x400010, 0x2000008, 5));  // L
+    t.append(TraceRecord::load(0x400014, 0x2000010, 7));   // L
+    for (int i = 0; i < 8; ++i)
+        t.append(TraceRecord::alu(0x400018, 8, 6));
+    ASSERT_EQ(lineOf(0x2004000), lineOf(0x2000000) + 256);
+    HierarchyParams hp;
+    Hierarchy mem(hp);
+    OooCore core(CoreParams(), mem);
+    Cycle miss_ready = 0;
+    Cycle alias_load_at = 0;
+    bool waiting_load_reached_cache = false;
+    AccessOutcome waiting_load;
+    auto st = core.run(
+        t, t.size(),
+        [&](const TraceRecord &rec, const AccessOutcome &out, Cycle) {
+            if (rec.pc == 0x400014)
+                waiting_load = out;
+        },
+        [&](const TraceRecord &rec, const AccessOutcome &out,
+            Cycle now) {
+            if (rec.pc == 0x400004)
+                miss_ready = out.readyAt;
+            if (rec.pc == 0x40000c)
+                alias_load_at = now;
+            waiting_load_reached_cache |= rec.pc == 0x400014;
+        });
+    EXPECT_EQ(st.instructions, t.size());
+    ASSERT_GT(miss_ready, Cycle(0));
+    ASSERT_GT(alias_load_at, Cycle(0));
+    EXPECT_LT(alias_load_at, miss_ready);
+    EXPECT_FALSE(waiting_load_reached_cache);
+    EXPECT_TRUE(waiting_load.l1Hit);
+    EXPECT_GT(waiting_load.readyAt, miss_ready);
+}
+
 TEST(Core, MispredictsCostCycles)
 {
     auto run_with = [](bool predictable) {

@@ -122,5 +122,23 @@ TEST(Mshr, ReuseAfterDrain)
     EXPECT_NE(m.find(2), nullptr);
 }
 
+TEST(Mshr, FilterBucketAliasesStayExact)
+{
+    // Lines L and L + 256 share a filter bucket: the count lets the
+    // walk run, and the walk must still match lines exactly.
+    constexpr LineAddr L = 0x1234;
+    MshrFile m(4);
+    m.allocate(L, 10, false, false);
+    EXPECT_EQ(m.find(L + 256), nullptr);
+    m.allocate(L + 256, 20, false, false);
+    m.drain(10, [](const MshrFile::Entry &) {});
+    EXPECT_EQ(m.find(L), nullptr);
+    const MshrFile &cm = m;
+    ASSERT_NE(cm.find(L + 256), nullptr);
+    EXPECT_EQ(cm.find(L + 256)->line, L + 256);
+    EXPECT_DEATH({ m.allocate(L + 256, 30, false, false); },
+                 "double-allocation");
+}
+
 } // anonymous namespace
 } // namespace cbws

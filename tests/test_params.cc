@@ -296,6 +296,49 @@ TEST(ParamApiDeathTest, OutOfRangeSizesAreFatalAndNameTheKey)
     }
 }
 
+TEST(ParamApi, TableSizesAboveTheirBoundAreRefusedWhileParsing)
+{
+    // Every key that sizes an allocation carries a bound, so a huge
+    // value fails as a parse error naming the key and the bound,
+    // before any scheme allocates. The bound itself parses.
+    unsigned bounded = 0;
+    for (const auto &scheme : prefetcherRegistry().names()) {
+        const ParamSchema schema =
+            prefetcherRegistry().paramSchema(scheme);
+        for (const auto &info : schema.keys()) {
+            const std::string &key = info.key;
+            const bool sizes_a_table =
+                key.ends_with("entries") ||
+                key.ends_with("max-vector-members");
+            const auto at = info.help.find("(at most ");
+            ASSERT_EQ(at != std::string::npos,
+                      sizes_a_table || key.ends_with("page-bytes") ||
+                          key.ends_with("zone-bytes"))
+                << scheme << " " << key;
+            if (at == std::string::npos)
+                continue;
+            ++bounded;
+            const std::string max = info.help.substr(
+                at + 9, info.help.find(')', at) - at - 9);
+            ParamSet params;
+            Result<void> r = prefetcherRegistry().applyOptions(
+                scheme, params, {key + "=4294967295"});
+            ASSERT_FALSE(r.ok()) << scheme << " " << key;
+            EXPECT_EQ(r.error().code, Errc::InvalidArgument);
+            EXPECT_NE(r.error().message.find(key), std::string::npos)
+                << r.error().message;
+            EXPECT_NE(r.error().message.find("maximum " + max),
+                      std::string::npos)
+                << r.error().message;
+            EXPECT_TRUE(prefetcherRegistry()
+                            .validateOptions({scheme}, {key + "=" + max})
+                            .ok())
+                << scheme << " " << key << "=" << max;
+        }
+    }
+    EXPECT_GE(bounded, 16u);
+}
+
 TEST(ParamApi, PfOptsFlowThroughSystemConfig)
 {
     // The makePrefetcher path: config.pfOpts land on the built
