@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "base/json.hh"
 #include "base/logging.hh"
@@ -206,7 +207,52 @@ runTournament(const std::vector<WorkloadPtr> &workloads,
               });
     for (std::size_t i = 0; i < result.leaderboard.size(); ++i)
         result.leaderboard[i].rank = static_cast<unsigned>(i + 1);
+    result.matrices = std::move(matrices);
+    result.rowSuites = std::move(row_suite);
     return result;
+}
+
+std::vector<KernelVerdict>
+kernelVerdicts(const TournamentResult &result, const std::string &suite)
+{
+    std::vector<KernelVerdict> verdicts;
+    const auto one = std::find(result.coreCounts.begin(),
+                               result.coreCounts.end(), 1u);
+    const auto cbws = std::find(
+        result.schemes.begin(), result.schemes.end(),
+        prefetcherRegistry().canonicalName("CBWS"));
+    if (one == result.coreCounts.end() || cbws == result.schemes.end())
+        return verdicts;
+    const ExperimentMatrix &matrix =
+        result.matrices[one - result.coreCounts.begin()];
+    const std::size_t base_col = matrix.column("No-Prefetch");
+    for (std::size_t r = 0; r < matrix.rows.size(); ++r) {
+        if (result.rowSuites[r] != suite)
+            continue;
+        const WorkloadRow &row = matrix.rows[r];
+        const double base_ipc = row.byPrefetcher[base_col].ipc();
+        KernelVerdict verdict;
+        verdict.workload = row.workload;
+        for (std::size_t k = 0; k < matrix.schemes.size(); ++k) {
+            const std::string &scheme = matrix.schemes[k];
+            const double s = base_ipc > 0
+                                 ? row.byPrefetcher[k].ipc() / base_ipc
+                                 : 0.0;
+            verdict.speedups.push_back(s);
+            if (k == base_col || scheme.rfind("CBWS", 0) == 0)
+                continue;
+            if (verdict.best.empty() || s > verdict.bestSpeedup ||
+                (s == verdict.bestSpeedup && scheme < verdict.best)) {
+                verdict.best = scheme;
+                verdict.bestSpeedup = s;
+            }
+        }
+        verdict.cbwsSpeedup =
+            verdict.speedups[cbws - result.schemes.begin()];
+        verdict.cbwsBeaten = verdict.bestSpeedup > verdict.cbwsSpeedup;
+        verdicts.push_back(verdict);
+    }
+    return verdicts;
 }
 
 std::string

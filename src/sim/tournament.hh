@@ -100,6 +100,25 @@ struct TournamentResult
     std::vector<TournamentCell> cells;
     /** Sorted: score descending, then scheme name ascending. */
     std::vector<TournamentEntry> leaderboard;
+    /** The runs behind the cells: one matrix per core count (parallel
+     *  to coreCounts), with columns in `schemes` order. */
+    std::vector<ExperimentMatrix> matrices;
+    /** Workload family of each matrix row. */
+    std::vector<std::string> rowSuites;
+};
+
+/** One workload at one core: every scheme's speedup, and standalone
+ *  CBWS against the fastest scheme outside its family. */
+struct KernelVerdict
+{
+    std::string workload;
+    /** IPC over No-Prefetch on this workload, parallel to schemes. */
+    std::vector<double> speedups;
+    /** Fastest scheme outside the CBWS family and the baseline. */
+    std::string best;
+    double bestSpeedup = 0.0;
+    double cbwsSpeedup = 0.0;
+    bool cbwsBeaten = false; ///< best strictly faster than CBWS
 };
 
 /**
@@ -111,6 +130,15 @@ struct TournamentResult
 TournamentResult
 runTournament(const std::vector<WorkloadPtr> &workloads,
               const TournamentOptions &options = TournamentOptions());
+
+/**
+ * One verdict per 1-core row of @p suite, in row order; empty unless
+ * the tournament raced 1 core and CBWS. A scheme whose name starts
+ * with "CBWS" belongs to the CBWS family: the verdict asks what takes
+ * over where CBWS cannot predict.
+ */
+std::vector<KernelVerdict> kernelVerdicts(const TournamentResult &result,
+                                          const std::string &suite);
 
 /** Render the ranked leaderboard as a text table (golden-diffable). */
 std::string leaderboardTable(const TournamentResult &result);

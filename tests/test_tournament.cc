@@ -164,5 +164,35 @@ TEST(Tournament, ZooSchemesAreNonDegenerate)
     }
 }
 
+TEST(Tournament, DbmsFamilyStaysHardForCbws)
+{
+    // The "where CBWS breaks" family must keep stressing the L2 under
+    // every scheme, and some scheme outside the CBWS family must beat
+    // standalone CBWS somewhere: a run where CBWS wins everywhere
+    // means the kernels degenerated into loop nests.
+    TournamentOptions options;
+    options.coreCounts = {1};
+    options.insts = 20000;
+    const TournamentResult result =
+        runTournament(dbmsWorkloads(), options);
+
+    ASSERT_EQ(result.matrices.size(), 1u);
+    for (const WorkloadRow &row : result.matrices[0].rows) {
+        for (std::size_t k = 0; k < row.byPrefetcher.size(); ++k) {
+            EXPECT_GT(row.byPrefetcher[k].mem.llcDemandMisses, 0u)
+                << row.workload << "/" << result.schemes[k];
+        }
+    }
+
+    const std::vector<KernelVerdict> verdicts =
+        kernelVerdicts(result, "DBMS");
+    EXPECT_EQ(verdicts.size(), dbmsWorkloads().size());
+    bool beaten = false;
+    for (const KernelVerdict &verdict : verdicts)
+        beaten = beaten || verdict.cbwsBeaten;
+    EXPECT_TRUE(beaten) << "no DBMS kernel where a scheme outside "
+                           "the CBWS family beats CBWS";
+}
+
 } // anonymous namespace
 } // namespace cbws
