@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "base/argparse.hh"
-#include "base/faultinject.hh"
 #include "base/profiler.hh"
 #include "mem/dram/backend.hh"
 
@@ -96,16 +95,6 @@ init(int argc, char **argv, Options accepted)
     }
     if (accepted == Options::None)
         return;
-
-    {
-        Result<void> faults =
-            FaultInjector::instance().configureFromEnv();
-        if (!faults.ok()) {
-            std::fprintf(stderr, "CBWS_FAULT: %s\n",
-                         faults.error().str().c_str());
-            std::exit(1);
-        }
-    }
 
     if (parser.provided("jobs")) {
         const std::uint64_t jobs = parser.getUint("jobs", 0);

@@ -43,10 +43,6 @@ enum class Options
  *   --profile-json=F  profile artifact destination (implies --profile)
  *   --help            print usage and exit
  *
- * Unless @p accepted is None, init() also arms the deterministic
- * fault-injection harness from the CBWS_FAULT / CBWS_FAULT_SEED
- * environment (base/faultinject.hh).
- *
  * Call at the top of main(); exits 0 on --help and 1 on an option
  * outside @p accepted or on any positional argument, so a bench never
  * ignores a knob it cannot honour. Any jobs value produces

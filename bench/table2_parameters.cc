@@ -84,6 +84,15 @@ main(int argc, char **argv)
                " entries, random repl."});
     t.row({"CBWS lookup hash",
            std::to_string(cbws.hashBits) + " line LSBs"});
+    t.row({"Prefetch queue entries *",
+           std::to_string(c.mem.prefetchQueueEntries)});
+    t.row({"Prefetch issue per cycle *",
+           std::to_string(c.mem.prefetchIssuePerCycle)});
+    t.row({"L2 MSHRs reserved for demand *",
+           std::to_string(c.mem.prefetchMshrReserve)});
     std::printf("%s\n", t.render().c_str());
+    std::printf("* the reproduction's own: the prefetch path between "
+                "each prefetcher and the L2,\n  which Table II does "
+                "not specify.\n");
     return 0;
 }

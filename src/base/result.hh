@@ -6,7 +6,8 @@
  * layers (trace files, the trace cache, experiment checkpoints) with
  * a value that carries *why* an operation failed, so callers can
  * distinguish "not found" (quietly fall back) from "corrupt" (warn,
- * then fall back) from "I/O error" (retry, then degrade).
+ * then fall back) from "I/O error" (degrade: carry on without the
+ * file).
  *
  * The error vocabulary is deliberately small: robustness policies key
  * off the code, and the human-readable message carries the rest.
@@ -35,7 +36,6 @@ enum class Errc : std::uint8_t
     VersionMismatch, ///< recognised format, unsupported schema version
     InvalidArgument, ///< caller passed something unusable
     Unsupported,     ///< valid request the implementation cannot serve
-    FaultInjected,   ///< failure manufactured by base/faultinject
 };
 
 /** Short stable name of an error code (log/message prefix). */
@@ -57,8 +57,6 @@ toString(Errc code)
         return "invalid-argument";
       case Errc::Unsupported:
         return "unsupported";
-      case Errc::FaultInjected:
-        return "fault-injected";
     }
     return "?";
 }

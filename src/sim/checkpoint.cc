@@ -7,12 +7,10 @@
 #include <iterator>
 #include <unistd.h>
 
-#include "base/faultinject.hh"
 #include "base/json.hh"
 #include "base/jsonparse.hh"
 #include "base/logging.hh"
 #include "base/profiler.hh"
-#include "base/retry.hh"
 #include "base/version.hh"
 
 namespace cbws
@@ -427,9 +425,6 @@ Checkpoint::open(const std::string &path, const Header &header)
                      path + ": cannot open checkpoint for append: " +
                          std::strerror(errno));
     if (!existing) {
-        // Header then provenance, both written raw: routing the
-        // provenance through append() would advance fault-injection
-        // site counts and shift deterministic injection schedules.
         const std::string preamble =
             expected_header + "\n" + provenanceLine() + "\n";
         if (std::fwrite(preamble.data(), 1, preamble.size(), file_) !=
@@ -484,24 +479,13 @@ Checkpoint::append(const SimResult &result)
         return Result<void>(); // resumed cell: already on disk
 
     const std::string line = checkpointCellLine(result) + "\n";
-    // Transient write errors (full disk racing cleanup, injected
-    // faults) are retried briefly; persistent failure degrades to
-    // running without the checkpoint rather than killing the sweep.
-    Result<void> wrote = retryWithBackoff(3, 1, [&]() -> Result<void> {
-        if (FaultInjector::instance().shouldFire(
-                FaultSite::CheckpointAppend))
-            return Error(Errc::FaultInjected,
-                         "injected checkpoint append failure");
-        if (std::fwrite(line.data(), 1, line.size(), file_) !=
-                line.size() ||
-            std::fflush(file_) != 0)
-            return Error(Errc::IoError,
-                         std::string("checkpoint append failed: ") +
-                             std::strerror(errno));
-        return Result<void>();
-    });
-    if (!wrote.ok())
-        return wrote;
+    // A failed write is not retried: the caller runs the cell
+    // without the checkpoint rather than killing the sweep.
+    if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
+        std::fflush(file_) != 0)
+        return Error(Errc::IoError,
+                     std::string("checkpoint append failed: ") +
+                         std::strerror(errno));
     cells_.emplace(key, result);
     return Result<void>();
 }

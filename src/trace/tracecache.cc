@@ -8,7 +8,6 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include "base/faultinject.hh"
 #include "base/logging.hh"
 #include "base/profiler.hh"
 
@@ -115,12 +114,6 @@ TraceCache::load(const Key &key, Trace &trace) const
         return Error(Errc::NotFound, "trace cache disabled");
     PROF_SCOPE(prof::Phase::TraceCacheIO);
     const std::string path = pathFor(key);
-    if (FaultInjector::instance().shouldFire(
-            FaultSite::TraceCacheLoad)) {
-        ++misses_;
-        return Error(Errc::FaultInjected,
-                     path + ": injected trace-cache load failure");
-    }
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f) {
         ++misses_;
@@ -135,9 +128,6 @@ TraceCache::load(const Key &key, Trace &trace) const
              reinterpret_cast<const unsigned char *>(bytes.data()) +
                  header.size(),
              bytes.size() - header.size(), trace.records());
-    if (FaultInjector::instance().shouldFire(
-            FaultSite::TraceCacheCorrupt))
-        ok = false;
     if (!ok) {
         trace.clear();
         ++misses_;
@@ -158,10 +148,6 @@ TraceCache::store(const Key &key, const Trace &trace) const
         return Error(Errc::IoError,
                      dir_ + ": cannot create cache directory");
     const std::string path = pathFor(key);
-    if (FaultInjector::instance().shouldFire(
-            FaultSite::TraceCacheStore))
-        return Error(Errc::FaultInjected,
-                     path + ": injected trace-cache store failure");
     // Unique temp name per process+thread so concurrent writers of the
     // same key never interleave; rename() makes publication atomic.
     static std::atomic<unsigned> unique{0};

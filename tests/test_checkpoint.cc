@@ -5,19 +5,22 @@
  * trusted, never fatal), mismatched experiments and schema versions
  * must be rejected at open(), and a matrix resumed from a partial
  * checkpoint must be bit-identical to an uninterrupted run at any
- * job count.
+ * job count without re-simulating a restored cell, and an append the
+ * kernel refuses must leave the matrix unchanged.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <sys/resource.h>
 #include <vector>
 
-#include "base/faultinject.hh"
 #include "sim/checkpoint.hh"
 #include "sim/experiment.hh"
 #include "workloads/registry.hh"
@@ -271,7 +274,6 @@ class CheckpointFileTest : public ::testing::Test
         const std::string cmd = "rm -rf '" + dir_ + "'";
         if (std::system(cmd.c_str()) != 0)
             ADD_FAILURE() << "cleanup failed: " << cmd;
-        FaultInjector::instance().reset();
     }
 
     static Checkpoint::Header
@@ -409,29 +411,6 @@ TEST_F(CheckpointFileTest, GarbageFileIsCorruptNotFatal)
     EXPECT_EQ(r.code(), Errc::Corrupt);
 }
 
-TEST_F(CheckpointFileTest, AppendFaultDegradesToUncheckpointedCell)
-{
-    Checkpoint ckpt;
-    ASSERT_TRUE(ckpt.open(path_, header()));
-    // Fire on every attempt: the 3-try retry loop must exhaust and
-    // report the injected failure instead of aborting the run.
-    FaultInjector::instance().arm(FaultSite::CheckpointAppend, 1.0);
-    Result<void> r = ckpt.append(makeResult());
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.code(), Errc::FaultInjected);
-    EXPECT_GE(FaultInjector::instance().hits(
-                  FaultSite::CheckpointAppend),
-              3u)
-        << "append must have retried";
-
-    // Disarm: the next append (of the same cell) succeeds — the
-    // failure was transient, the checkpoint object still works.
-    FaultInjector::instance().reset();
-    ASSERT_TRUE(ckpt.append(makeResult()));
-    EXPECT_EQ(readLines().size(), 3u)
-        << "header + provenance + the recovered cell";
-}
-
 /** Matrix-level resume determinism. */
 class CheckpointResumeTest : public CheckpointFileTest
 {
@@ -531,6 +510,113 @@ TEST_F(CheckpointResumeTest, PartialCheckpointResumesBitIdentically)
                 << "jobs=" << jobs;
         }
     }
+}
+
+TEST_F(CheckpointResumeTest, ForgedRestoredCellIsNotResimulated)
+{
+    const ExperimentMatrix reference = run(1);
+
+    // Keep 3 of the 6 cells, the on-disk state of a run killed
+    // halfway, and forge the first kept cell with a cycle count no
+    // simulation produces, under a valid checksum: if the rerun
+    // re-simulated it, the forged value would be replaced.
+    run(1, path_);
+    std::vector<std::string> partial = readLines();
+    ASSERT_EQ(partial.size(), 2u + 6u);
+    partial.resize(2 + 3);
+    Result<SimResult> first = parseCheckpointCell(partial[2]);
+    ASSERT_TRUE(first.ok()) << first.error().str();
+    SimResult forged = first.value();
+    forged.core.cycles += 1000003;
+    partial[2] = checkpointCellLine(forged);
+    writeLines(partial);
+    {
+        Checkpoint ckpt;
+        ASSERT_TRUE(ckpt.open(path_, matrixCheckpointHeader(
+                                         {"fft-simlarge",
+                                          "stencil-default"},
+                                         kinds_, config_, insts_, 42)));
+        EXPECT_EQ(ckpt.resumedCells(), 3u);
+    }
+
+    ExperimentMatrix resumed = run(1, path_);
+    unsigned matched = 0;
+    for (auto &row : resumed.rows)
+        for (auto &cell : row.byPrefetcher)
+            if (cell.workload == forged.workload &&
+                cell.prefetcher == forged.prefetcher) {
+                ++matched;
+                EXPECT_EQ(cell.core.cycles, forged.core.cycles)
+                    << "a restored cell was re-simulated";
+                cell.core.cycles = first.value().core.cycles;
+            }
+    ASSERT_EQ(matched, 1u);
+    // Apart from the forged counter the result equals a clean run.
+    EXPECT_TRUE(matricesIdentical(reference, resumed));
+
+    // The restored lines stay as written; only the other half is
+    // appended after them.
+    const auto full = readLines();
+    ASSERT_EQ(full.size(), partial.size() + 3);
+    EXPECT_TRUE(std::equal(partial.begin(), partial.end(), full.begin()));
+}
+
+/** Caps the size of every file this process writes at @p bytes, with
+ *  SIGXFSZ ignored so an over-limit write fails with EFBIG instead of
+ *  killing the test; both are restored on destruction. */
+class FileSizeLimit
+{
+  public:
+    explicit FileSizeLimit(std::uintmax_t bytes)
+        : oldHandler_(std::signal(SIGXFSZ, SIG_IGN))
+    {
+        ::getrlimit(RLIMIT_FSIZE, &old_);
+        rlimit capped = old_;
+        capped.rlim_cur = static_cast<rlim_t>(bytes);
+        ::setrlimit(RLIMIT_FSIZE, &capped);
+    }
+
+    ~FileSizeLimit()
+    {
+        ::setrlimit(RLIMIT_FSIZE, &old_);
+        std::signal(SIGXFSZ, oldHandler_);
+    }
+
+    FileSizeLimit(const FileSizeLimit &) = delete;
+    FileSizeLimit &operator=(const FileSizeLimit &) = delete;
+
+  private:
+    rlimit old_{};
+    void (*oldHandler_)(int);
+};
+
+TEST_F(CheckpointResumeTest, FailedAppendDegradesToUncheckpointedCell)
+{
+    const ExperimentMatrix reference = run(1);
+    const std::vector<std::string> names = {"fft-simlarge",
+                                            "stencil-default"};
+    {
+        Checkpoint ckpt;
+        ASSERT_TRUE(ckpt.open(path_, matrixCheckpointHeader(
+                                         names, kinds_, config_, insts_,
+                                         42)));
+        // The file may not grow past its header and provenance: every
+        // append is refused by the kernel.
+        FileSizeLimit limit(std::filesystem::file_size(path_));
+        Result<void> r = ckpt.append(makeResult());
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.code(), Errc::IoError);
+
+        // runMatrix warns per lost append and runs every cell without
+        // the checkpoint; the results do not change.
+        EXPECT_TRUE(matricesIdentical(reference, run(1, path_)));
+        EXPECT_EQ(readLines().size(), 2u) << "no cell reached the file";
+    }
+
+    // With the limit lifted the same file checkpoints normally: a
+    // failed append leaves nothing behind that a later one trips on.
+    EXPECT_TRUE(matricesIdentical(reference, run(1, path_)));
+    EXPECT_EQ(readLines().size(), 2u + 6u);
 }
 
 TEST_F(CheckpointResumeTest, CompletedCheckpointSkipsAllSimulation)

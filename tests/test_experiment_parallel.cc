@@ -2,13 +2,15 @@
  * @file
  * Determinism of the parallel experiment runner: runMatrix must be
  * bit-identical for any job count, across every prefetcher kind, keep
- * at most one trace per worker resident, and the O(1) result() lookup
- * must agree with the row layout.
+ * at most one trace per worker resident, give the same matrix over a
+ * trace cache that cannot be written or whose entries are damaged,
+ * and the O(1) result() lookup must agree with the row layout.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <unistd.h>
 
 #include "sim/experiment.hh"
@@ -134,6 +136,81 @@ TEST(ParallelMatrix, LiveTracesNeverExceedJobs)
         const std::string cmd = "rm -rf '" + dir + "'";
         EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
     }
+}
+
+/** Every cell of @p a equals the same cell of @p b. */
+::testing::AssertionResult
+matricesIdentical(const ExperimentMatrix &a, const ExperimentMatrix &b)
+{
+    if (a.rows.size() != b.rows.size())
+        return ::testing::AssertionFailure() << "row count";
+    for (std::size_t r = 0; r < a.rows.size(); ++r)
+        if (a.rows[r].byPrefetcher != b.rows[r].byPrefetcher)
+            return ::testing::AssertionFailure()
+                   << a.rows[r].workload << ": cells differ";
+    return ::testing::AssertionSuccess();
+}
+
+/** A small matrix at four jobs over @p cache (none when null). */
+ExperimentMatrix
+runCached(TraceCache *cache)
+{
+    const std::vector<std::string> kinds = {"No-Prefetch", "Stride",
+                                            "CBWS", "SMS"};
+    MatrixOptions options;
+    options.jobs = 4;
+    options.traceCache = cache;
+    return runMatrix(sampleWorkloads(), kinds, SystemConfig(), 8000, 42,
+                     options);
+}
+
+TEST(ParallelMatrix, UnwritableTraceCacheLeavesResultsUnchanged)
+{
+    // The cache directory's path names a regular file, so no entry
+    // can be created: every store fails and the cache stays cold.
+    char tmpl[] = "/tmp/cbws-not-a-dir-XXXXXX";
+    const int fd = ::mkstemp(tmpl);
+    ASSERT_GE(fd, 0);
+    ::close(fd);
+    const std::string path = tmpl;
+    TraceCache cache(path);
+
+    EXPECT_TRUE(matricesIdentical(runCached(nullptr), runCached(&cache)));
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), sampleWorkloads().size());
+    EXPECT_TRUE(std::filesystem::is_regular_file(path));
+    EXPECT_EQ(std::filesystem::file_size(path), 0u);
+    std::filesystem::remove(path);
+}
+
+TEST(ParallelMatrix, TruncatedTraceCacheEntriesAreResynthesised)
+{
+    char tmpl[] = "/tmp/cbws-damaged-cache-XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    const ExperimentMatrix reference = runCached(nullptr);
+    TraceCache warm(dir);
+    runCached(&warm);
+
+    // Cut every entry in half: each becomes a miss, is synthesised
+    // again and is stored again.
+    std::size_t entries = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        std::filesystem::resize_file(entry.path(), entry.file_size() / 2);
+        ++entries;
+    }
+    ASSERT_EQ(entries, sampleWorkloads().size());
+    TraceCache damaged(dir);
+    EXPECT_TRUE(matricesIdentical(reference, runCached(&damaged)));
+    EXPECT_EQ(damaged.misses(), entries);
+    EXPECT_EQ(damaged.hits(), 0u);
+
+    // The rerun repaired every entry: a third run only hits.
+    TraceCache repaired(dir);
+    EXPECT_TRUE(matricesIdentical(reference, runCached(&repaired)));
+    EXPECT_EQ(repaired.misses(), 0u);
+    EXPECT_EQ(repaired.hits(), entries);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ParallelMatrix, ResultLookupAgreesWithRowLayout)

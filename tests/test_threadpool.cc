@@ -116,7 +116,7 @@ TEST(ParallelFor, PropagatesBodyException)
                  std::runtime_error);
 }
 
-TEST(JobsFromEnv, HardwareJobsIsPositive)
+TEST(ThreadPool, HardwareJobsIsPositive)
 {
     EXPECT_GE(ThreadPool::hardwareJobs(), 1u);
 }

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <unistd.h>
@@ -270,6 +271,33 @@ TEST_F(TraceCacheTest, OverflowingKeyVarintIsAMiss)
     EXPECT_EQ(r.code(), Errc::Corrupt);
     EXPECT_TRUE(loaded.empty());
     EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST_F(TraceCacheTest, CorruptedTraceCacheFileFallsBackToResynthesis)
+{
+    // A cache hit turns out to be damaged: the load reports Corrupt
+    // (not a crash), the caller re-synthesises, and a re-store
+    // repairs the cache. Truncation is the damage the format always
+    // detects (the body carries no checksum, so mid-payload bit flips
+    // can slip through: a trade-off of the compact binary format).
+    TraceCache cache(dir_);
+    const TraceCache::Key key{"fft-simlarge", 6000, 42};
+    const Trace original = makeTrace();
+    ASSERT_TRUE(cache.store(key, original));
+    const std::string path = cache.pathFor(key);
+    std::filesystem::resize_file(path,
+                                 std::filesystem::file_size(path) / 2);
+
+    Trace loaded;
+    Result<void> r = cache.load(key, loaded);
+    ASSERT_FALSE(r);
+    EXPECT_EQ(r.code(), Errc::Corrupt);
+    EXPECT_TRUE(loaded.empty()) << "failed load must leave no data";
+
+    // Re-synthesise and repair, as runMatrix does on any miss.
+    ASSERT_TRUE(cache.store(key, makeTrace()));
+    ASSERT_TRUE(cache.load(key, loaded));
+    EXPECT_TRUE(tracesEqual(original, loaded));
 }
 
 TEST_F(TraceCacheTest, StoreThenLoadOverwrites)

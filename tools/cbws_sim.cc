@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "base/argparse.hh"
-#include "base/faultinject.hh"
 #include "base/metrics.hh"
 #include "base/profiler.hh"
 #include "base/table.hh"
@@ -308,18 +307,6 @@ main(int argc, char **argv)
     // synthesis is a phase) so the calibration window covers it.
     if (args.getFlag("profile") || args.provided("profile-json"))
         prof::enable();
-
-    // Deterministic fault injection for robustness testing
-    // (CBWS_FAULT / CBWS_FAULT_SEED, see base/faultinject.hh).
-    {
-        Result<void> faults =
-            FaultInjector::instance().configureFromEnv();
-        if (!faults.ok()) {
-            std::fprintf(stderr, "CBWS_FAULT: %s\n",
-                         faults.error().str().c_str());
-            return 1;
-        }
-    }
 
     // --scheme help lists the registered schemes.
     const std::string scheme = args.get("scheme");
